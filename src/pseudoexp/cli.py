@@ -7,9 +7,11 @@ Subcommands:
     examples                list the built-in scenario configs
 
 Exit codes: 0 verification passed, 1 residual failure, 2 config or schema
-error, 3 construction error. Complex scalars in configs are numbers or
-two-element [re, im] arrays; matrices are row-major nested arrays. Output
-files are deterministic: rerunning an identical config byte-matches.
+error, 3 construction error. Each family's builders and their parameters,
+output fields and default tolerances come from its declaration
+(``<family>.SPEC``). Complex scalars in configs are numbers or two-element
+[re, im] arrays; matrices are row-major nested arrays. Output files are
+deterministic: rerunning an identical config byte-matches.
 """
 
 from __future__ import annotations
@@ -20,69 +22,20 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from types import ModuleType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import dirac, dsi, gnoe, loewner, schrodinger, verify
 from .errors import ConfigError, ConstructionError, NoSolutionError
+from .spec import parse_int
 
 __all__ = ["main", "main_entry", "catalog"]
 
 _TOP_KEYS = {"description", "family", "params", "grid", "verify", "output", "seed"}
 _FORMATS = ("csv", "json")
-
-
-# -- config parsing ----------------------------------------------------------
-
-
-def _parse_complex(value, name: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number or [re, im] pair")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{name} must be a number or [re, im] pair")
-
-
-def _parse_matrix(value, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a non-empty nested array")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ConfigError(f"{name}[{i}] must be a non-empty array")
-        rows.append([_parse_complex(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)])
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ConfigError(f"{name} rows must all have the same length")
-    return np.array(rows, dtype=complex)
-
-
-def _parse_vector(value, name: str) -> list[complex]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a non-empty array")
-    return [_parse_complex(v, f"{name}[{j}]") for j, v in enumerate(value)]
-
-
-def _parse_real_vector(value, name: str) -> list[float]:
-    out = []
-    for z in _parse_vector(value, name):
-        if z.imag != 0.0:
-            raise ConfigError(f"{name} entries must be real")
-        out.append(z.real)
-    return out
-
-
-def _parse_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer")
-    return value
+_MODULES = {m.SPEC.name: m for m in (dirac, dsi, gnoe, loewner, schrodinger)}
 
 
 def _take(params: Mapping, name: str, allowed: set) -> None:
@@ -91,277 +44,32 @@ def _take(params: Mapping, name: str, allowed: set) -> None:
         raise ConfigError(f"unknown {name} keys: {sorted(extra)}")
 
 
-def _opt_matrix(params: Mapping, key: str) -> Optional[np.ndarray]:
-    return _parse_matrix(params[key], key) if key in params else None
+def _build(module: ModuleType, params: Mapping, seed):
+    """Scenario from the config's params, by the builder the family declares.
 
-
-def _rng_for(seed, builder: str) -> np.random.Generator:
-    if seed is None:
-        raise ConfigError(f"builder {builder!r} needs a top-level seed")
-    return np.random.default_rng(_parse_int(seed, "seed"))
-
-
-# -- family adapters ---------------------------------------------------------
-
-
-def _build_dirac(params: Mapping, seed):
-    builder = params.get("builder", "general")
-    if builder == "two_channel":
-        _take(params, "params", {"builder", "g1", "n1", "d", "c", "s0"})
-        for key in ("g1", "n1", "d"):
-            if key not in params:
-                raise ConfigError(f"two_channel builder needs {key!r}")
-        return dirac.build_two_channel(
-            _parse_matrix(params["g1"], "g1"),
-            _parse_int(params["n1"], "n1"),
-            _parse_vector(params["d"], "d"),
-            c=_opt_matrix(params, "c"),
-            s0=_opt_matrix(params, "s0"),
-        )
-    if builder == "general":
-        _take(params, "params", {"builder", "a1", "a2", "chat", "c", "s0"})
-        for key in ("a1", "a2", "chat"):
-            if key not in params:
-                raise ConfigError(f"general builder needs {key!r}")
-        return dirac.build_dirac(
-            _parse_matrix(params["a1"], "a1"),
-            _parse_matrix(params["a2"], "a2"),
-            _parse_matrix(params["chat"], "chat"),
-            c=_opt_matrix(params, "c"),
-            s0=_opt_matrix(params, "s0"),
-        )
-    if builder == "random":
-        _take(params, "params", {"builder"})
-        return dirac.random_scenario(_rng_for(seed, builder))
-    raise ConfigError(f"unknown dirac builder {builder!r}")
-
-
-def _build_schrodinger(params: Mapping, seed):
-    builder = params.get("builder", "general")
-    if builder == "singular_line":
-        _take(params, "params", {"builder", "beta", "r11", "im_r12", "b", "d"})
-        kwargs = {}
-        for key in ("beta", "r11", "im_r12", "d"):
-            if key in params:
-                z = _parse_complex(params[key], key)
-                if z.imag != 0.0:
-                    raise ConfigError(f"{key} must be real")
-                kwargs[key] = z.real
-        if "b" in params:
-            kwargs["b"] = _parse_complex(params["b"], "b")
-        return schrodinger.build_singular_line_example(**kwargs)[0]
-    if builder == "rational":
-        _take(params, "params", {"builder", "mu0"})
-        kwargs = {}
-        if "mu0" in params:
-            kwargs["mu0"] = _parse_complex(params["mu0"], "mu0")
-        return schrodinger.build_rational_example(**kwargs)[0]
-    if builder == "nonsingular":
-        _take(params, "params", {"builder", "mu0", "d"})
-        kwargs = {}
-        if "mu0" in params:
-            kwargs["mu0"] = _parse_complex(params["mu0"], "mu0")
-        if "d" in params:
-            z = _parse_complex(params["d"], "d")
-            if z.imag != 0.0:
-                raise ConfigError("d must be real")
-            kwargs["d"] = z.real
-        return schrodinger.build_nonsingular_example(**kwargs)[0]
-    if builder == "general":
-        _take(params, "params", {"builder", "a", "chat", "c", "s0"})
-        for key in ("a", "chat"):
-            if key not in params:
-                raise ConfigError(f"general builder needs {key!r}")
-        return schrodinger.build_schrodinger(
-            _parse_matrix(params["a"], "a"),
-            _parse_matrix(params["chat"], "chat"),
-            c=_opt_matrix(params, "c"),
-            s0=_opt_matrix(params, "s0"),
-        )
-    if builder == "random":
-        _take(params, "params", {"builder"})
-        return schrodinger.random_scenario(_rng_for(seed, builder))
-    raise ConfigError(f"unknown schrodinger builder {builder!r}")
-
-
-def _build_loewner(params: Mapping, seed):
-    builder = params.get("builder", "general")
-    if builder == "general":
-        _take(
-            params,
-            "params",
-            {"builder", "d", "a1", "a2", "c1", "c2", "chat1", "chat2", "allow_repeated"},
-        )
-        for key in ("d", "a1", "a2", "c1", "c2", "chat1", "chat2"):
-            if key not in params:
-                raise ConfigError(f"general builder needs {key!r}")
-        allow = params.get("allow_repeated", False)
-        if not isinstance(allow, bool):
-            raise ConfigError("allow_repeated must be a boolean")
-        return loewner.build_loewner(
-            _parse_real_vector(params["d"], "d"),
-            _parse_matrix(params["a1"], "a1"),
-            _parse_matrix(params["a2"], "a2"),
-            _parse_matrix(params["c1"], "c1"),
-            _parse_matrix(params["c2"], "c2"),
-            _parse_matrix(params["chat1"], "chat1"),
-            _parse_matrix(params["chat2"], "chat2"),
-            allow_repeated=allow,
-        )
-    if builder == "random":
-        _take(params, "params", {"builder"})
-        return loewner.random_scenario(_rng_for(seed, builder))
-    raise ConfigError(f"unknown loewner builder {builder!r}")
-
-
-def _build_dsi(params: Mapping, seed):
-    builder = params.get("builder", "general")
-    if builder == "rational":
-        _take(params, "params", {"builder", "chat1_head", "chat2_head", "c1", "c2", "s0"})
-        kwargs = {}
-        for key in ("chat1_head", "chat2_head"):
-            if key in params:
-                kwargs[key] = _parse_complex(params[key], key)
-        return dsi.build_rational_dsi(
-            c1=_opt_matrix(params, "c1"),
-            c2=_opt_matrix(params, "c2"),
-            s0=_opt_matrix(params, "s0"),
-            **kwargs,
-        )
-    if builder == "general":
-        _take(
-            params,
-            "params",
-            {"builder", "a1", "a2", "c1", "c2", "chat1", "chat2", "s0"},
-        )
-        for key in ("a1", "a2", "chat1", "chat2"):
-            if key not in params:
-                raise ConfigError(f"general builder needs {key!r}")
-        return dsi.build_dsi(
-            _parse_matrix(params["a1"], "a1"),
-            _parse_matrix(params["a2"], "a2"),
-            _opt_matrix(params, "c1"),
-            _opt_matrix(params, "c2"),
-            _parse_matrix(params["chat1"], "chat1"),
-            _parse_matrix(params["chat2"], "chat2"),
-            s0=_opt_matrix(params, "s0"),
-        )
-    if builder == "random":
-        _take(params, "params", {"builder"})
-        return dsi.random_scenario(_rng_for(seed, builder))
-    raise ConfigError(f"unknown dsi builder {builder!r}")
-
-
-def _build_gnoe(params: Mapping, seed):
-    builder = params.get("builder", "general")
-    if builder == "general":
-        _take(params, "params", {"builder", "a", "chat", "c", "d", "dtilde", "b", "s0"})
-        for key in ("a", "chat", "d", "dtilde", "b"):
-            if key not in params:
-                raise ConfigError(f"general builder needs {key!r}")
-        return gnoe.build_gnoe(
-            _parse_matrix(params["a"], "a"),
-            _parse_matrix(params["chat"], "chat"),
-            _opt_matrix(params, "c"),
-            _parse_real_vector(params["d"], "d"),
-            _parse_real_vector(params["dtilde"], "dtilde"),
-            _parse_real_vector(params["b"], "b"),
-            s0=_opt_matrix(params, "s0"),
-        )
-    if builder == "random":
-        _take(params, "params", {"builder"})
-        return gnoe.random_scenario(_rng_for(seed, builder))
-    raise ConfigError(f"unknown gnoe builder {builder!r}")
-
-
-def _loewner_part(sc, idx: int) -> Callable:
-    def field(point):
-        out = loewner.eval_loewner(sc, point)
-        return None if out is None else out[idx]
-
-    return field
-
-
-def _dsi_part(sc, idx: int) -> Callable:
-    def field(point):
-        out = dsi.fields_uq(sc, point)
-        return None if out is None else out[idx]
-
-    return field
-
-
-_FAMILIES: dict = {
-    "dirac": {
-        "vars": dirac.VAR_NAMES,
-        "build": _build_dirac,
-        "verify": dirac.verify_scenario,
-        "fields": {
-            "potential": lambda sc: (lambda p: dirac.potential(sc, p)),
-            "wave": lambda sc: (lambda p: dirac.wave(sc, p)),
-        },
-    },
-    "schrodinger": {
-        "vars": schrodinger.VAR_NAMES,
-        "build": _build_schrodinger,
-        "verify": schrodinger.verify_scenario,
-        "fields": {
-            "potential": lambda sc: (lambda p: schrodinger.potential(sc, p)),
-            "wave": lambda sc: (lambda p: schrodinger.wave(sc, p)),
-        },
-    },
-    "loewner": {
-        "vars": loewner.VAR_NAMES,
-        "build": _build_loewner,
-        "verify": loewner.verify_scenario,
-        "fields": {
-            "solution": lambda sc: _loewner_part(sc, 0),
-            "coefficient": lambda sc: _loewner_part(sc, 1),
-        },
-    },
-    "dsi": {
-        "vars": dsi.VAR_NAMES,
-        "build": _build_dsi,
-        "verify": dsi.verify_scenario,
-        "fields": {
-            "u": lambda sc: _dsi_part(sc, 0),
-            "q1": lambda sc: _dsi_part(sc, 1),
-            "q2": lambda sc: _dsi_part(sc, 2),
-        },
-    },
-    "gnoe": {
-        "vars": gnoe.VAR_NAMES,
-        "build": _build_gnoe,
-        "verify": gnoe.verify_scenario,
-        "fields": {"xi": lambda sc: (lambda p: gnoe.xi(sc, p))},
-    },
-}
-
-# Default per-channel tolerances, mirrored from the family modules so config
-# overrides can be validated before any sweep starts.
-_DEFAULT_TOLERANCES = {
-    "dirac": {"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    "schrodinger": {"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    "loewner": {
-        "system_analytic": 1e-9,
-        "premise_1": 1e-11,
-        "premise_2": 1e-11,
-        "system_fd": 1e-6,
-    },
-    "dsi": {
-        "premise_x": 1e-12,
-        "premise_t": 1e-12,
-        "evolution_fd": 1e-5,
-        "coupling1_fd": 1e-5,
-        "coupling2_fd": 1e-5,
-    },
-    "gnoe": {
-        "system_analytic": 1e-9,
-        "system_fd": 1e-6,
-        "premise_x": 1e-12,
-        "premise_t": 1e-12,
-        "reduction": 1e-12,
-    },
-}
+    The builder function is looked up on the module at call time, so a
+    rebinding of the module attribute takes effect.
+    """
+    spec = module.SPEC
+    name = params.get("builder", "general")
+    builder = spec.builders.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ConfigError(f"unknown {spec.name} builder {name!r}")
+    _take(params, "params", {"builder", *builder.required, *builder.optional})
+    function = getattr(module, builder.function)
+    if builder.seeded:
+        if seed is None:
+            raise ConfigError(f"builder {name!r} needs a top-level seed")
+        return function(np.random.default_rng(parse_int(seed, "seed")))
+    kwargs = dict(builder.defaults)
+    for key, parse in {**builder.required, **builder.optional}.items():
+        if key in params:
+            kwargs[key] = parse(params[key], key)
+        elif key in builder.required:
+            raise ConfigError(f"{name} builder needs {key!r}")
+    built = function(**kwargs)
+    # The worked examples also return their closed form.
+    return built[0] if isinstance(built, tuple) else built
 
 
 # -- schema ------------------------------------------------------------------
@@ -384,13 +92,11 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _family_entry(config: Mapping) -> tuple[str, dict]:
+def _family_module(config: Mapping) -> ModuleType:
     family = config.get("family")
-    if family not in _FAMILIES:
-        raise ConfigError(
-            f"family must be one of {sorted(_FAMILIES)}, got {family!r}"
-        )
-    return family, _FAMILIES[family]
+    if not isinstance(family, str) or family not in _MODULES:
+        raise ConfigError(f"family must be one of {sorted(_MODULES)}, got {family!r}")
+    return _MODULES[family]
 
 
 def _grid_from_config(config: Mapping, var_names: Sequence[str]) -> verify.Grid:
@@ -420,7 +126,7 @@ def _grid_from_config(config: Mapping, var_names: Sequence[str]) -> verify.Grid:
     return verify.Grid(tuple(axes))
 
 
-def _verify_settings(config: Mapping, family: str) -> tuple[float, int, dict]:
+def _verify_settings(config: Mapping, spec) -> tuple[float, int, dict]:
     vcfg = config.get("verify", {})
     if not isinstance(vcfg, dict):
         raise ConfigError("verify must be an object")
@@ -431,7 +137,7 @@ def _verify_settings(config: Mapping, family: str) -> tuple[float, int, dict]:
     accuracy = vcfg.get("accuracy", verify.DEFAULT_ACCURACY)
     if isinstance(accuracy, bool) or accuracy not in (2, 4):
         raise ConfigError("verify.accuracy must be 2 or 4")
-    tolerances = dict(_DEFAULT_TOLERANCES[family])
+    tolerances = dict(spec.tolerances)
     tol_cfg = vcfg.get("tolerance")
     if tol_cfg is not None:
         if isinstance(tol_cfg, (int, float)) and not isinstance(tol_cfg, bool):
@@ -440,7 +146,7 @@ def _verify_settings(config: Mapping, family: str) -> tuple[float, int, dict]:
             unknown = set(tol_cfg) - set(tolerances)
             if unknown:
                 raise ConfigError(
-                    f"unknown residual channels for {family}: {sorted(unknown)}"
+                    f"unknown residual channels for {spec.name}: {sorted(unknown)}"
                 )
             for name, value in tol_cfg.items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
@@ -451,7 +157,7 @@ def _verify_settings(config: Mapping, family: str) -> tuple[float, int, dict]:
     return float(h), int(accuracy), tolerances
 
 
-def _output_settings(config: Mapping, family_fields: Mapping) -> tuple[list[str], str, str]:
+def _output_settings(config: Mapping, family_fields: Sequence[str]) -> tuple[list[str], str, str]:
     ocfg = config.get("output")
     if not isinstance(ocfg, dict):
         raise ConfigError("output must be an object")
@@ -475,7 +181,26 @@ def _output_settings(config: Mapping, family_fields: Mapping) -> tuple[list[str]
     return list(fields), fmt, path
 
 
+def _check_not_config(config_path: str, out_path: str) -> None:
+    """Refuse a dump or report path that would overwrite the config itself."""
+    dump = Path(out_path)
+    for target in (dump, dump.with_suffix(".report.json")):
+        if target.resolve() == Path(config_path).resolve():
+            raise ConfigError(f"output {str(target)!r} would overwrite the config file")
+
+
 # -- output writers ----------------------------------------------------------
+
+
+def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> list:
+    """(point, values of the named fields, or None where S is singular) at
+    every grid point; each point's fields are evaluated once."""
+    index = [spec.fields.index(name) for name in names]
+    rows = []
+    for point in grid.points():
+        values = spec.point_fields(scenario, point)
+        rows.append((point, None if values is None else [values[i] for i in index]))
+    return rows
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -484,49 +209,40 @@ def _encode_matrix(m: np.ndarray) -> list:
     ]
 
 
-def _field_shapes(field_fns: Mapping[str, Callable], grid: verify.Grid) -> dict:
-    for point in grid.points():
-        probe = {name: fn(point) for name, fn in field_fns.items()}
-        if all(v is not None for v in probe.values()):
-            return {name: np.atleast_2d(v).shape for name, v in probe.items()}
-    raise ConstructionError("every grid point is singular; nothing to export")
-
-
-def _write_csv(path: Path, grid: verify.Grid, names: list, field_fns: Mapping, shapes: Mapping) -> None:
+def _write_csv(path: Path, grid: verify.Grid, names: list, rows: list) -> None:
+    shapes = next(
+        ([np.atleast_2d(v).shape for v in values] for _, values in rows if values is not None),
+        None,
+    )
+    if shapes is None:
+        raise ConstructionError("every grid point is singular; nothing to export")
     header = [ax.name for ax in grid.axes]
-    for name in names:
-        rows, cols = shapes[name]
-        for i in range(rows):
-            for j in range(cols):
+    for name, (n_rows, n_cols) in zip(names, shapes):
+        for i in range(n_rows):
+            for j in range(n_cols):
                 header.extend((f"{name}[{i}][{j}].re", f"{name}[{i}][{j}].im"))
     header.append("singular")
+    pad = sum(2 * n_rows * n_cols for n_rows, n_cols in shapes)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for point in grid.points():
+        for point, values in rows:
             row = [repr(float(v)) for v in point]
-            values = [field_fns[name](point) for name in names]
-            if any(v is None for v in values):
-                pad = sum(2 * shapes[n][0] * shapes[n][1] for n in names)
+            if values is None:
                 writer.writerow(row + [""] * pad + ["1"])
                 continue
             for value in values:
-                for entry_row in np.atleast_2d(value):
-                    for z in entry_row:
-                        row.extend((repr(float(z.real)), repr(float(z.imag))))
+                for z in np.atleast_2d(value).ravel():
+                    row.extend((repr(float(z.real)), repr(float(z.imag))))
             writer.writerow(row + ["0"])
 
 
-def _write_json(path: Path, grid: verify.Grid, names: list, field_fns: Mapping) -> None:
+def _write_json(path: Path, grid: verify.Grid, names: list, rows: list) -> None:
     records = []
-    for point in grid.points():
-        entry: dict = {"point": [float(v) for v in point]}
-        values = {name: field_fns[name](point) for name in names}
-        if any(v is None for v in values.values()):
-            entry["singular"] = True
-        else:
-            entry["singular"] = False
-            entry["values"] = {n: _encode_matrix(v) for n, v in values.items()}
+    for point, values in rows:
+        entry: dict = {"point": [float(v) for v in point], "singular": values is None}
+        if values is not None:
+            entry["values"] = {n: _encode_matrix(v) for n, v in zip(names, values)}
         records.append(entry)
     payload = {"grid": grid.spec(), "fields": names, "points": records}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -537,47 +253,38 @@ def _write_json(path: Path, grid: verify.Grid, names: list, field_fns: Mapping) 
 
 def _prepare(path: str):
     config = _load_config(path)
-    family, entry = _family_entry(config)
+    module = _family_module(config)
+    spec = module.SPEC
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    grid = _grid_from_config(config, entry["vars"])
-    h, accuracy, tolerances = _verify_settings(config, family)
-    fields, fmt, out_path = _output_settings(config, entry["fields"])
-    scenario = entry["build"](params, config.get("seed"))
-    return config, family, entry, scenario, grid, h, accuracy, tolerances, fields, fmt, out_path
+    grid = _grid_from_config(config, spec.var_names)
+    h, accuracy, tolerances = _verify_settings(config, spec)
+    fields, fmt, out_path = _output_settings(config, spec.fields)
+    _check_not_config(path, out_path)
+    scenario = _build(module, params, config.get("seed"))
+    return config, module, scenario, grid, (h, accuracy, tolerances), (fields, fmt, out_path)
 
 
 def _cmd_run(path: str) -> int:
     (
-        config,
-        family,
-        entry,
-        scenario,
-        grid,
-        h,
-        accuracy,
-        tolerances,
-        fields,
-        fmt,
-        out_path,
+        config, module, scenario, grid, (h, accuracy, tolerances), (fields, fmt, out_path)
     ) = _prepare(path)
-    report = entry["verify"](
-        scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy
-    )
+    spec = module.SPEC
+    # Looked up at call time, so a rebinding of the module attribute takes effect.
+    report = module.verify_scenario(scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy)
 
-    field_fns = {name: entry["fields"][name](scenario) for name in fields}
+    rows = _dump_rows(spec, scenario, grid, fields)
     dump_path = Path(out_path)
     if fmt == "csv":
-        shapes = _field_shapes(field_fns, grid)
-        _write_csv(dump_path, grid, fields, field_fns, shapes)
+        _write_csv(dump_path, grid, fields, rows)
     else:
-        _write_json(dump_path, grid, fields, field_fns)
+        _write_json(dump_path, grid, fields, rows)
 
     report_path = dump_path.with_suffix(".report.json")
     payload = {
         "config": config,
-        "family": family,
+        "family": spec.name,
         "output": {"fields": fields, "format": fmt, "path": out_path},
         "report": report.to_dict(),
         "verify": {"h": h, "accuracy": accuracy},
@@ -586,7 +293,7 @@ def _cmd_run(path: str) -> int:
 
     status = "pass" if report.passed else "FAIL"
     print(
-        f"{family}: {status}, {report.total_points} points, "
+        f"{spec.name}: {status}, {report.total_points} points, "
         f"{report.masked_count} singular, max relative residual "
         f"{report.max_relative:.3e}"
     )
@@ -595,8 +302,8 @@ def _cmd_run(path: str) -> int:
 
 
 def _cmd_validate(path: str) -> int:
-    config, family, entry, scenario, grid, *_ = _prepare(path)
-    print(f"ok: {family} scenario, grid of {grid.size} points")
+    _, module, _, grid, *_ = _prepare(path)
+    print(f"ok: {module.SPEC.name} scenario, grid of {grid.size} points")
     return 0
 
 

@@ -27,7 +27,7 @@ into one Lyapunov equation per channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
+from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_int, parse_matrix, parse_vector
 
 __all__ = [
     "SIGMA2",
@@ -44,6 +45,7 @@ __all__ = [
     "potential",
     "wave",
     "evaluator",
+    "SPEC",
     "default_grid",
     "verify_scenario",
     "random_scenario",
@@ -195,20 +197,6 @@ def wave(sc: DiracScenario, point: Sequence[float]) -> Optional[np.ndarray]:
     return sc.family.w(point)
 
 
-def _analytic_residual(sc: DiracScenario, point) -> Optional[tuple[np.ndarray, float]]:
-    w = sc.family.w(point)
-    if w is None:
-        return None
-    wt = sc.family.w_deriv(point, (0,))
-    wy = sc.family.w_deriv(point, (1,))
-    v = potential(sc, point)
-    if wt is None or wy is None or v is None:
-        return None
-    res = wt + SIGMA2 @ wy - 1j * v @ w
-    scale = max(linalg.fro(w), linalg.fro(v))
-    return res, scale
-
-
 def evaluator(
     sc: DiracScenario,
     h: float = verify.DEFAULT_H,
@@ -217,55 +205,27 @@ def evaluator(
 ):
     """Residual channels for sweep: analytic wave equation, FD cross-check."""
 
-    def wave_fn(p):
-        return wave(sc, p)
+    wave_fn = sc.family.w
 
     def evaluate(point):
-        analytic = _analytic_residual(sc, point)
-        if analytic is None:
+        w = sc.family.w(point)
+        if w is None:
             return None
-        res, scale = analytic
-        channels = {"wave_analytic": linalg.fro(res)}
+        wt = sc.family.w_deriv(point, (0,))
+        wy = sc.family.w_deriv(point, (1,))
+        v = potential(sc, point)
+        if wt is None or wy is None or v is None:
+            return None
+        channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
         if with_fd:
-            wt = verify.fd_partial(wave_fn, point, 0, order=1, h=h, accuracy=accuracy)
-            wy = verify.fd_partial(wave_fn, point, 1, order=1, h=h, accuracy=accuracy)
-            if wt is None or wy is None:
+            wt_fd = verify.fd_partial(wave_fn, point, 0, order=1, h=h, accuracy=accuracy)
+            wy_fd = verify.fd_partial(wave_fn, point, 1, order=1, h=h, accuracy=accuracy)
+            if wt_fd is None or wy_fd is None:
                 return None
-            w = sc.family.w(point)
-            v = potential(sc, point)
-            channels["wave_fd"] = linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)
-        return channels, scale
+            channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
+        return channels, max(linalg.fro(w), linalg.fro(v))
 
     return evaluate
-
-
-def default_grid(count: int = 9, half_width: float = 0.8) -> verify.Grid:
-    return verify.Grid(
-        (
-            verify.Axis("t", -half_width, half_width, count),
-            verify.Axis("y", -half_width, half_width, count),
-        )
-    )
-
-
-def verify_scenario(
-    sc: DiracScenario,
-    grid: Optional[verify.Grid] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-    workers: Optional[int] = None,
-) -> verify.ResidualReport:
-    grid = grid or default_grid()
-    tol: Mapping[str, float] = tolerances or {"wave_analytic": 1e-9, "wave_fd": 1e-6}
-    with_fd = "wave_fd" in tol
-    return verify.sweep(
-        grid,
-        evaluator(sc, h=h, accuracy=accuracy, with_fd=with_fd),
-        tol,
-        workers=workers,
-        meta={"family": "dirac"},
-    )
 
 
 def random_scenario(rng: np.random.Generator, max_channel: int = 2) -> DiracScenario:
@@ -284,3 +244,30 @@ def random_scenario(rng: np.random.Generator, max_channel: int = 2) -> DiracScen
         rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
     )
     return build_two_channel(g1, n1, d, c=c, s0=np.eye(n_dim, dtype=complex))
+
+
+SPEC = FamilySpec(
+    name="dirac",
+    var_names=VAR_NAMES,
+    grid=(9, 0.8),
+    tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
+    fd_channel="wave_fd",
+    evaluator=evaluator,
+    fields=("potential", "wave"),
+    point_fields=all_fields(potential, wave),
+    builders={
+        "general": Builder(
+            "build_dirac",
+            required={"a1": parse_matrix, "a2": parse_matrix, "chat": parse_matrix},
+            optional={"c": parse_matrix, "s0": parse_matrix},
+        ),
+        "two_channel": Builder(
+            "build_two_channel",
+            required={"g1": parse_matrix, "n1": parse_int, "d": parse_vector},
+            optional={"c": parse_matrix, "s0": parse_matrix},
+        ),
+        "random": RANDOM,
+    },
+)
+default_grid = SPEC.grid_function()
+verify_scenario = SPEC.verify_function()

@@ -29,7 +29,7 @@ analytically. Nilpotent A_k give fields rational in (x, t, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
 from .snode import solve_for_R
+from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
 __all__ = [
     "DsiScenario",
@@ -45,6 +46,7 @@ __all__ = [
     "fields_uq",
     "premise_residuals",
     "evaluator",
+    "SPEC",
     "default_grid",
     "verify_scenario",
     "random_scenario",
@@ -233,25 +235,18 @@ def evaluator(
                 cache[key] = fields_uq(sc, key)
             return cache[key]
 
-        def u_fn(p):
-            f = fields_at(p)
-            return None if f is None else f[0]
+        def of_fields(fn):
+            def value(p):
+                f = fields_at(p)
+                return None if f is None else fn(*f)
 
-        def q1_fn(p):
-            f = fields_at(p)
-            return None if f is None else f[1]
+            return value
 
-        def q2_fn(p):
-            f = fields_at(p)
-            return None if f is None else f[2]
-
-        def uu_star(p):
-            f = fields_at(p)
-            return None if f is None else f[0] @ linalg.adjoint(f[0])
-
-        def u_star_u(p):
-            f = fields_at(p)
-            return None if f is None else linalg.adjoint(f[0]) @ f[0]
+        u_fn = of_fields(lambda u, q1, q2: u)
+        q1_fn = of_fields(lambda u, q1, q2: q1)
+        q2_fn = of_fields(lambda u, q1, q2: q2)
+        uu_star = of_fields(lambda u, q1, q2: u @ linalg.adjoint(u))
+        u_star_u = of_fields(lambda u, q1, q2: linalg.adjoint(u) @ u)
 
         f = fields_at(point)
         if f is None:
@@ -283,42 +278,6 @@ def evaluator(
         return channels, scale
 
     return evaluate
-
-
-def default_grid(count: int = 5, half_width: float = 0.6) -> verify.Grid:
-    return verify.Grid(
-        (
-            verify.Axis("x", -half_width, half_width, count),
-            verify.Axis("t", -half_width, half_width, count),
-            verify.Axis("y", -half_width, half_width, count),
-        )
-    )
-
-
-def verify_scenario(
-    sc: DsiScenario,
-    grid: Optional[verify.Grid] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-    workers: Optional[int] = None,
-) -> verify.ResidualReport:
-    grid = grid or default_grid()
-    tol: Mapping[str, float] = tolerances or {
-        "premise_x": 1e-12,
-        "premise_t": 1e-12,
-        "evolution_fd": 1e-5,
-        "coupling1_fd": 1e-5,
-        "coupling2_fd": 1e-5,
-    }
-    with_fd = "evolution_fd" in tol
-    return verify.sweep(
-        grid,
-        evaluator(sc, h=h, accuracy=accuracy, with_fd=with_fd),
-        tol,
-        workers=workers,
-        meta={"family": "dsi"},
-    )
 
 
 def random_scenario(rng: np.random.Generator, max_dim: int = 2) -> DsiScenario:
@@ -354,3 +313,41 @@ def _padded_unitaryish(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     qmat, _ = np.linalg.qr(m)
     return qmat[:, :cols]
+
+
+SPEC = FamilySpec(
+    name="dsi",
+    var_names=VAR_NAMES,
+    grid=(5, 0.6),
+    tolerances={
+        "premise_x": 1e-12,
+        "premise_t": 1e-12,
+        "evolution_fd": 1e-5,
+        "coupling1_fd": 1e-5,
+        "coupling2_fd": 1e-5,
+    },
+    fd_channel="evolution_fd",
+    evaluator=evaluator,
+    fields=("u", "q1", "q2"),
+    point_fields=fields_uq,
+    builders={
+        "general": Builder(
+            "build_dsi",
+            required={k: parse_matrix for k in ("a1", "a2", "chat1", "chat2")},
+            optional={k: parse_matrix for k in ("c1", "c2", "s0")},
+            # build_dsi takes C1 and C2 positionally; None means identity.
+            defaults={"c1": None, "c2": None},
+        ),
+        "rational": Builder(
+            "build_rational_dsi",
+            optional={
+                "chat1_head": parse_complex,
+                "chat2_head": parse_complex,
+                **{k: parse_matrix for k in ("c1", "c2", "s0")},
+            },
+        ),
+        "random": RANDOM,
+    },
+)
+default_grid = SPEC.grid_function()
+verify_scenario = SPEC.verify_function()

@@ -286,9 +286,6 @@ class PseudoExpFamily:
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
 
-    def var_index(self, name: str) -> int:
-        return self.var_names.index(name)
-
     # -- Pi ---------------------------------------------------------------
 
     def pi(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:

@@ -22,7 +22,7 @@ needs no second-order terms. The reduction holds bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
+from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_matrix, parse_real_vector
 
 __all__ = [
     "GnoeScenario",
@@ -41,6 +42,7 @@ __all__ = [
     "system_residual",
     "premise_residuals",
     "evaluator",
+    "SPEC",
     "default_grid",
     "verify_scenario",
     "random_scenario",
@@ -276,42 +278,6 @@ def evaluator(
     return evaluate
 
 
-def default_grid(count: int = 5, half_width: float = 0.5) -> verify.Grid:
-    return verify.Grid(
-        (
-            verify.Axis("x", -half_width, half_width, count),
-            verify.Axis("t", -half_width, half_width, count),
-            verify.Axis("y", -half_width, half_width, count),
-        )
-    )
-
-
-def verify_scenario(
-    sc: GnoeScenario,
-    grid: Optional[verify.Grid] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-    workers: Optional[int] = None,
-) -> verify.ResidualReport:
-    grid = grid or default_grid()
-    tol: Mapping[str, float] = tolerances or {
-        "system_analytic": 1e-9,
-        "system_fd": 1e-6,
-        "premise_x": 1e-12,
-        "premise_t": 1e-12,
-        "reduction": 1e-12,
-    }
-    with_fd = "system_fd" in tol
-    return verify.sweep(
-        grid,
-        evaluator(sc, h=h, accuracy=accuracy, with_fd=with_fd),
-        tol,
-        workers=workers,
-        meta={"family": "gnoe"},
-    )
-
-
 def random_scenario(
     rng: np.random.Generator, max_l: int = 2, max_m: int = 3
 ) -> GnoeScenario:
@@ -339,3 +305,37 @@ def random_scenario(
         if min_eig > 0.2:
             return sc
     raise ConstructionError("failed to draw a nonsingular scenario")
+
+
+SPEC = FamilySpec(
+    name="gnoe",
+    var_names=VAR_NAMES,
+    grid=(5, 0.5),
+    tolerances={
+        "system_analytic": 1e-9,
+        "system_fd": 1e-6,
+        "premise_x": 1e-12,
+        "premise_t": 1e-12,
+        "reduction": 1e-12,
+    },
+    fd_channel="system_fd",
+    evaluator=evaluator,
+    fields=("xi",),
+    point_fields=all_fields(xi),
+    builders={
+        "general": Builder(
+            "build_gnoe",
+            required={
+                "a": parse_matrix,
+                "chat": parse_matrix,
+                **{k: parse_real_vector for k in ("d", "dtilde", "b")},
+            },
+            optional={"c": parse_matrix, "s0": parse_matrix},
+            # build_gnoe takes C positionally; None means identity.
+            defaults={"c": None},
+        ),
+        "random": RANDOM,
+    },
+)
+default_grid = SPEC.grid_function()
+verify_scenario = SPEC.verify_function()

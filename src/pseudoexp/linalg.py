@@ -17,7 +17,6 @@ __all__ = [
     "as_matrix",
     "adjoint",
     "fro",
-    "kron",
     "mat_exp",
     "solve_sylvester",
     "solve_pivoted",
@@ -25,7 +24,6 @@ __all__ = [
     "SpectrumInfo",
     "pivoted_rank",
     "full_range_rank",
-    "lyapunov_separation",
 ]
 
 # Residual bound for solve_sylvester, relative to 1 + ||Q||_F.
@@ -56,11 +54,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def fro(m: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(m))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(a, b)
 
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:
@@ -248,42 +241,6 @@ class SpectrumInfo:
     residual_bound: float
 
 
-def _charpoly_coeffs(a: np.ndarray) -> np.ndarray:
-    # Faddeev-LeVerrier: coefficients of det(lambda I - A), highest first.
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.zeros_like(a)
-    for k in range(1, n + 1):
-        mk = a @ (mk + coeffs[k - 1] * np.eye(n, dtype=complex))
-        coeffs[k] = -np.trace(mk) / k
-    return coeffs
-
-
-def _durand_kerner(coeffs: np.ndarray, iters: int = 200) -> np.ndarray:
-    # Simultaneous root iteration for a monic polynomial.
-    n = len(coeffs) - 1
-    roots = (0.4 + 0.9j) ** np.arange(1, n + 1)
-    scale = 1.0 + max(abs(c) for c in coeffs)
-    roots = roots * scale
-
-    def poly(z):
-        val = np.zeros_like(z)
-        for c in coeffs:
-            val = val * z + c
-        return val
-
-    for _ in range(iters):
-        deltas = np.zeros_like(roots)
-        for i in range(n):
-            denom = np.prod(roots[i] - np.delete(roots, i)) if n > 1 else 1.0
-            deltas[i] = poly(np.array([roots[i]]))[0] / denom
-        roots = roots - deltas
-        if np.max(np.abs(deltas)) < 1e-14 * scale:
-            break
-    return roots
-
-
 def _sorted_values(w: np.ndarray) -> np.ndarray:
     order = np.lexsort((w.imag, w.real))
     return w[order]
@@ -292,10 +249,9 @@ def _sorted_values(w: np.ndarray) -> np.ndarray:
 def eigenvalues(a) -> SpectrumInfo:
     """Eigenvalues of a square matrix (dimension <= 32), with certificate.
 
-    Shifted-QR (LAPACK) is the primary path; on QR failure a Durand-Kerner
-    iteration on the characteristic polynomial takes over for dimensions up
-    to 12.  Spectra are for hypothesis checks only, so moderate accuracy on
-    defective matrices is acceptable and reflected in the residual bound.
+    Shifted QR (LAPACK ``eig``). Spectra are for hypothesis checks only, so
+    moderate accuracy on defective matrices is acceptable and reflected in
+    the residual bound.
     """
     a = as_matrix(a, "A")
     n, nc = a.shape
@@ -306,24 +262,14 @@ def eigenvalues(a) -> SpectrumInfo:
     if n == 0:
         return SpectrumInfo(np.zeros(0, dtype=complex), "qr", 0.0)
 
-    try:
-        w, v = np.linalg.eig(a)
-        residual = 0.0
-        for i in range(n):
-            vec = v[:, i]
-            nrm = np.linalg.norm(vec)
-            if nrm > 0:
-                residual = max(residual, float(np.linalg.norm(a @ vec - w[i] * vec) / nrm))
-        return SpectrumInfo(_sorted_values(w), "qr", residual)
-    except np.linalg.LinAlgError:
-        if n > 12:
-            raise
-        w = _durand_kerner(_charpoly_coeffs(a))
-        residual = 0.0
-        for lam in w:
-            sigma = np.linalg.svd(a - lam * np.eye(n), compute_uv=False)
-            residual = max(residual, float(sigma[-1]))
-        return SpectrumInfo(_sorted_values(w), "durand-kerner", residual)
+    w, v = np.linalg.eig(a)
+    residual = 0.0
+    for i in range(n):
+        vec = v[:, i]
+        nrm = np.linalg.norm(vec)
+        if nrm > 0:
+            residual = max(residual, float(np.linalg.norm(a @ vec - w[i] * vec) / nrm))
+    return SpectrumInfo(_sorted_values(w), "qr", residual)
 
 
 def pivoted_rank(m, rel_tol: float = RANK_RTOL) -> int:
@@ -373,16 +319,3 @@ def full_range_rank(a, chat) -> int:
         blocks.append(p)
         p = a @ p
     return pivoted_rank(np.hstack(blocks))
-
-
-def lyapunov_separation(values: np.ndarray) -> float:
-    """min |lambda_i + conj(lambda_j)| over a spectrum.
-
-    Positive iff sigma(A) and sigma(-A*) are disjoint, i.e. iff
-    A R + R A* = Q has a unique solution.
-    """
-    w = np.asarray(values, dtype=complex)
-    if w.size == 0:
-        return np.inf
-    grid = w[:, None] + w[None, :].conj()
-    return float(np.min(np.abs(grid)))

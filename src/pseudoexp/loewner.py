@@ -21,13 +21,14 @@ at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError
 from .family import ExponentRecipe, PiBlock, Polynomial
+from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector
 
 __all__ = [
     "LoewnerScenario",
@@ -36,6 +37,7 @@ __all__ = [
     "eval_loewner",
     "spectrum_deviation",
     "evaluator",
+    "SPEC",
     "default_grid",
     "verify_scenario",
     "random_scenario",
@@ -87,8 +89,8 @@ def _factor_block(d_diag: np.ndarray, a: np.ndarray, c: np.ndarray, chat: np.nda
     eye_m = np.eye(m, dtype=complex)
     recipe = ExponentRecipe(
         [
-            (Polynomial.variable(0, 2), linalg.kron(np.diag(d_diag).astype(complex), a)),
-            (Polynomial.variable(1, 2), linalg.kron(eye_m, a)),
+            (Polynomial.variable(0, 2), np.kron(np.diag(d_diag).astype(complex), a)),
+            (Polynomial.variable(1, 2), np.kron(eye_m, a)),
         ]
     )
     return PiBlock(selector_matrix(c), recipe, chat)
@@ -147,7 +149,8 @@ def spectrum_deviation(sc: LoewnerScenario, point: Sequence[float]) -> Optional[
     return float(np.max(np.abs(got - want)))
 
 
-def _analytic_residuals(sc: LoewnerScenario, point) -> Optional[tuple[dict, float]]:
+def _analytic_residuals(sc: LoewnerScenario, point) -> Optional[tuple[dict, float, np.ndarray]]:
+    """Analytic channels, local scale and L at the point, or None if masked."""
     lam1 = sc.lambda1.value(point)
     lam2 = sc.lambda2.value(point)
     psi = linalg.solve_pivoted(lam1, lam2)
@@ -170,7 +173,7 @@ def _analytic_residuals(sc: LoewnerScenario, point) -> Optional[tuple[dict, floa
         "premise_1": linalg.fro(lam1_x - d_mat @ lam1_y),
         "premise_2": linalg.fro(lam2_x - d_mat @ lam2_y),
     }
-    return channels, scale
+    return channels, scale, ell
 
 
 def evaluator(
@@ -187,51 +190,16 @@ def evaluator(
         analytic = _analytic_residuals(sc, point)
         if analytic is None:
             return None
-        channels, scale = analytic
+        channels, scale, ell = analytic
         if with_fd:
             psi_x = verify.fd_partial(psi_fn, point, 0, order=1, h=h, accuracy=accuracy)
             psi_y = verify.fd_partial(psi_fn, point, 1, order=1, h=h, accuracy=accuracy)
             if psi_x is None or psi_y is None:
                 return None
-            _, ell = eval_loewner(sc, point)
             channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
         return channels, scale
 
     return evaluate
-
-
-def default_grid(count: int = 9, half_width: float = 0.8) -> verify.Grid:
-    return verify.Grid(
-        (
-            verify.Axis("x", -half_width, half_width, count),
-            verify.Axis("y", -half_width, half_width, count),
-        )
-    )
-
-
-def verify_scenario(
-    sc: LoewnerScenario,
-    grid: Optional[verify.Grid] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-    workers: Optional[int] = None,
-) -> verify.ResidualReport:
-    grid = grid or default_grid()
-    tol: Mapping[str, float] = tolerances or {
-        "system_analytic": 1e-9,
-        "premise_1": 1e-11,
-        "premise_2": 1e-11,
-        "system_fd": 1e-6,
-    }
-    with_fd = "system_fd" in tol
-    return verify.sweep(
-        grid,
-        evaluator(sc, h=h, accuracy=accuracy, with_fd=with_fd),
-        tol,
-        workers=workers,
-        meta={"family": "loewner"},
-    )
 
 
 def random_scenario(
@@ -245,7 +213,7 @@ def random_scenario(
     default grid (rejection sampling on its smallest singular value).
     """
     n = m if n is None else n
-    grid_pts = default_grid(count=5).points()
+    grid_pts = default_grid().points()
     for _ in range(60):
         d = np.sort(rng.uniform(-1.2, 1.2, m))
         if m > 1 and np.min(np.diff(d)) < 0.3:
@@ -263,3 +231,33 @@ def random_scenario(
         if smin >= 0.25:
             return sc
     raise ConstructionError("failed to draw a well-conditioned scenario")
+
+
+SPEC = FamilySpec(
+    name="loewner",
+    var_names=VAR_NAMES,
+    grid=(9, 0.8),
+    tolerances={
+        "system_analytic": 1e-9,
+        "premise_1": 1e-11,
+        "premise_2": 1e-11,
+        "system_fd": 1e-6,
+    },
+    fd_channel="system_fd",
+    evaluator=evaluator,
+    fields=("solution", "coefficient"),
+    point_fields=eval_loewner,
+    builders={
+        "general": Builder(
+            "build_loewner",
+            required={
+                "d": parse_real_vector,
+                **{k: parse_matrix for k in ("a1", "a2", "c1", "c2", "chat1", "chat2")},
+            },
+            optional={"allow_repeated": parse_bool},
+        ),
+        "random": RANDOM,
+    },
+)
+default_grid = SPEC.grid_function()
+verify_scenario = SPEC.verify_function()

@@ -18,7 +18,7 @@ sufficient conditions under which S stays positive definite for all (x, t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
+from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_complex, parse_matrix, parse_real
 
 __all__ = [
     "SchrodingerScenario",
@@ -38,6 +39,7 @@ __all__ = [
     "potential",
     "wave",
     "evaluator",
+    "SPEC",
     "default_grid",
     "verify_scenario",
     "check_positivity",
@@ -146,11 +148,7 @@ def evaluator(
     the x-derivative inside the potential, by stencils on the raw fields.
     """
 
-    def wave_fn(p):
-        return wave(sc, p)
-
-    def q_fn(p):
-        return sc.family.q(p)
+    wave_fn, q_fn = sc.family.w, sc.family.q
 
     def evaluate(point):
         w = sc.family.w(point)
@@ -174,35 +172,6 @@ def evaluator(
         return channels, scale
 
     return evaluate
-
-
-def default_grid(count: int = 9, half_width: float = 0.8) -> verify.Grid:
-    return verify.Grid(
-        (
-            verify.Axis("x", -half_width, half_width, count),
-            verify.Axis("t", -half_width, half_width, count),
-        )
-    )
-
-
-def verify_scenario(
-    sc: SchrodingerScenario,
-    grid: Optional[verify.Grid] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-    workers: Optional[int] = None,
-) -> verify.ResidualReport:
-    grid = grid or default_grid()
-    tol: Mapping[str, float] = tolerances or {"wave_analytic": 1e-9, "wave_fd": 1e-6}
-    with_fd = "wave_fd" in tol
-    return verify.sweep(
-        grid,
-        evaluator(sc, h=h, accuracy=accuracy, with_fd=with_fd),
-        tol,
-        workers=workers,
-        meta={"family": "schrodinger"},
-    )
 
 
 # -- explicit instances ------------------------------------------------------
@@ -435,3 +404,36 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 3) -> SchrodingerSc
         s0 = (s0 + linalg.adjoint(s0)) / 2
         return build_schrodinger(a, chat, c=c, s0=s0)
     raise ConstructionError("failed to draw an admissible scenario")
+
+
+SPEC = FamilySpec(
+    name="schrodinger",
+    var_names=VAR_NAMES,
+    grid=(9, 0.8),
+    tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
+    fd_channel="wave_fd",
+    evaluator=evaluator,
+    fields=("potential", "wave"),
+    point_fields=all_fields(potential, wave),
+    builders={
+        "general": Builder(
+            "build_schrodinger",
+            required={"a": parse_matrix, "chat": parse_matrix},
+            optional={"c": parse_matrix, "s0": parse_matrix},
+        ),
+        "singular_line": Builder(
+            "build_singular_line_example",
+            optional={
+                **{k: parse_real for k in ("beta", "r11", "im_r12", "d")},
+                "b": parse_complex,
+            },
+        ),
+        "rational": Builder("build_rational_example", optional={"mu0": parse_complex}),
+        "nonsingular": Builder(
+            "build_nonsingular_example", optional={"mu0": parse_complex, "d": parse_real}
+        ),
+        "random": RANDOM,
+    },
+)
+default_grid = SPEC.grid_function()
+verify_scenario = SPEC.verify_function()

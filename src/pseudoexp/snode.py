@@ -78,10 +78,6 @@ class ValidationReport:
     passed: bool
     messages: list[str] = field(default_factory=list)
 
-    def max_relative_identity_residual(self) -> float:
-        rel = [r / s for r, s in zip(self.identity_residuals, self.identity_scales)]
-        return max(rel) if rel else 0.0
-
 
 @dataclass
 class SMultinode:

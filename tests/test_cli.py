@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoexp import cli, schrodinger
+from pseudoexp import cli, dsi, family, schrodinger
 
 
 def write_config(tmp_path, overrides=None, **top):
@@ -241,3 +241,65 @@ class TestConstructionErrors:
         config = next(p for n, _, p in cli.catalog() if n == "schrodinger-rational")
         assert cli.main(["validate", config]) == 0
         assert not (tmp_path / "schrodinger-rational.csv").exists()
+
+
+class TestOverwriteGuard:
+    @pytest.mark.parametrize(
+        "config_name, out_path",
+        [("config.json", "config.json"), ("run.report.json", "run.csv")],
+    )
+    def test_output_onto_config_exits_two(self, tmp_path, monkeypatch, config_name, out_path):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(
+            tmp_path, output={"fields": ["potential"], "format": "json", "path": out_path}
+        )
+        path = path.rename(tmp_path / config_name)
+        before = path.read_bytes()
+        assert cli.main(["run", config_name]) == 2
+        assert cli.main(["run", str(path)]) == 2
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config_name]
+
+
+class TestDump:
+    def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
+        # The CLI reaches the builder and verify_scenario through module
+        # attributes at call time, and evaluates each point's fields once
+        # for both dump formats.
+        monkeypatch.chdir(tmp_path)
+        in_sweep, q_points, used = [False], [], []
+        q, verify_scenario, build = family.PseudoExpFamily.q, dsi.verify_scenario, dsi.build_rational_dsi
+
+        def counting_q(self, point):
+            if not in_sweep[0]:
+                q_points.append(tuple(point))
+            return q(self, point)
+
+        def sweeping(*args, **kwargs):
+            used.append("verify")
+            in_sweep[0] = True
+            try:
+                return verify_scenario(*args, **kwargs)
+            finally:
+                in_sweep[0] = False
+
+        def building(*args, **kwargs):
+            used.append("build")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(family.PseudoExpFamily, "q", counting_q)
+        monkeypatch.setattr(dsi, "verify_scenario", sweeping)
+        monkeypatch.setattr(dsi, "build_rational_dsi", building)
+        for fmt in ("csv", "json"):
+            q_points.clear()
+            used.clear()
+            path = write_config(
+                tmp_path,
+                family="dsi",
+                params={"builder": "rational"},
+                grid=[{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in ("x", "t", "y")],
+                output={"fields": ["q2", "u"], "format": fmt, "path": f"out.{fmt}"},
+            )
+            assert cli.main(["run", str(path)]) == 0
+            assert used == ["build", "verify"]
+            assert len(q_points) == len(set(q_points)) == 8

@@ -197,12 +197,6 @@ class TestEigenvalues:
         for lam in info.values:
             assert abs(np.linalg.det(a - lam * np.eye(4))) <= 1e-8 * max(1.0, linalg.fro(a) ** 4)
 
-    def test_durand_kerner_fallback_machinery(self):
-        a = np.diag([1.0 + 0j, 2.0, -1.0])
-        coeffs = linalg._charpoly_coeffs(a)
-        roots = np.sort_complex(linalg._durand_kerner(coeffs))
-        np.testing.assert_allclose(roots, np.sort_complex(np.array([-1.0, 1.0, 2.0 + 0j])), atol=1e-9)
-
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.eye(33))
@@ -240,15 +234,3 @@ class TestHelpers:
         rng = np.random.default_rng(1)
         m = random_complex(rng, 3, 2)
         assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
-
-    def test_kron_block_structure(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = np.eye(2)
-        k = linalg.kron(a, b)
-        assert k.shape == (4, 4)
-        np.testing.assert_allclose(k[:2, 2:], np.eye(2))
-
-    def test_lyapunov_separation(self):
-        # i and -conj(i) = i coincide: separation zero
-        assert linalg.lyapunov_separation(np.array([1j])) == pytest.approx(0.0, abs=1e-15)
-        assert linalg.lyapunov_separation(np.array([1.0 + 0j])) == pytest.approx(2.0)

@@ -179,3 +179,16 @@ class TestRandomScenario:
         psi, ell = eval_loewner(sc, (0.1, 0.1))
         assert psi.shape == (3, 2)
         assert ell.shape == (3, 3)
+
+    def test_screened_on_the_verified_grid(self):
+        # Draws from these seeds passed a screen on a coarser 5 x 5 grid but
+        # fell below the singular-value floor between its points, and failed
+        # the FD channel on the default grid.
+        for s in (32, 48, 144, 179, 211, 223, 236):
+            sc = random_scenario(np.random.default_rng(np.random.SeedSequence([s, 1])))
+            smin = min(
+                np.linalg.svd(sc.lambda1.value(pt), compute_uv=False)[-1]
+                for pt in default_grid().points()
+            )
+            assert smin >= 0.25, s
+            assert verify_scenario(sc).passed, s

@@ -256,3 +256,7 @@ class TestWorkers:
     def test_clamped_to_one(self):
         assert resolve_workers(0) == 1
         assert resolve_workers(-3) == 1
+
+    def test_serial_without_argument_or_env(self, monkeypatch):
+        monkeypatch.delenv("PSEUDOEXP_WORKERS", raising=False)
+        assert resolve_workers() == 1
