@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_int, parse_matrix, parse_vector
 
@@ -122,12 +122,7 @@ def build_dirac(
     )
     node.require_valid()
 
-    recipe = ExponentRecipe(
-        [
-            (Polynomial.variable(0, 2), a1),
-            (Polynomial.variable(1, 2), a2),
-        ]
-    )
+    recipe = ExponentRecipe([a1, a2])
     eye2 = np.eye(2, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
-from .snode import solve_for_R
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
+from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
 __all__ = [
@@ -84,13 +84,6 @@ class DsiScenario:
         ).astype(complex)
 
 
-def _identity_ok(a: np.ndarray, r: np.ndarray, chat: np.ndarray) -> float:
-    rhs = -chat @ linalg.adjoint(chat)
-    res = a @ r + r @ linalg.adjoint(a) - rhs
-    scale = 1.0 + linalg.fro(a) * linalg.fro(r) + linalg.fro(rhs)
-    return linalg.fro(res) / scale
-
-
 def build_dsi(
     a1: np.ndarray,
     a2: np.ndarray,
@@ -125,23 +118,13 @@ def build_dsi(
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     for k, (a, r, ch) in enumerate(((a1, r1, chat1), (a2, r2, chat2)), start=1):
-        rel = _identity_ok(a, r, ch)
-        if rel > 1e-10:
-            raise ConstructionError(f"node {k} identity fails (relative residual {rel:.3e})")
+        report = SMultinode((a,), (np.eye(ch.shape[1], dtype=complex),), r, ch, (-1,)).validate()
+        if not report.passed:
+            raise ConstructionError(f"node {k} identity fails: " + "; ".join(report.messages))
 
-    # Phi_1 exponent: (x+y) A1 - i t A1^2; Phi_2 exponent: (x-y) A2 + i t A2^2
-    recipe1 = ExponentRecipe(
-        [
-            (Polynomial(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0}), a1),
-            (Polynomial.variable(T, 3, -1j), a1 @ a1),
-        ]
-    )
-    recipe2 = ExponentRecipe(
-        [
-            (Polynomial(3, {(1, 0, 0): 1.0, (0, 0, 1): -1.0}), a2),
-            (Polynomial.variable(T, 3, 1j), a2 @ a2),
-        ]
-    )
+    # Generators per (x, t, y) of the exponents (x+y) A1 - i t A1^2 and (x-y) A2 + i t A2^2
+    recipe1 = ExponentRecipe([a1, -1j * (a1 @ a1), a1])
+    recipe2 = ExponentRecipe([a2, 1j * (a2 @ a2), -a2])
     m1 = chat1.shape[1]
     m2 = chat2.shape[1]
     j = np.diag(np.concatenate([np.ones(m1), -np.ones(m2)])).astype(complex)

@@ -3,16 +3,19 @@
 A solution family is described by
 
 * Pi(vars): horizontal concatenation of blocks C_i exp(M_i(vars)) chat_i,
-  where M_i(vars) = sum_j phi_j(vars) A_j over pairwise-commuting A_j and
-  polynomial coefficients phi_j of total degree <= 2,
+  where M_i(vars) = sum_v vars[v] G_v is linear in the variables, with one
+  constant generator G_v per variable and pairwise-commuting generators
+  (Schrodinger's x A - i t A^2 has G_x = A, G_t = -i A^2),
 * S(vars) = S0 + sum_terms sign * C exp(M) R exp(M)* C*,
 * per-variable derivative rules expressing dS as finite sums
   c * (d^alpha Pi) nu (d^beta Pi)*, which hold because of the node
   identities and are cross-checked against brute-force differentiation.
 
-Everything derived from S^-1 (the quadratic form Q = Pi* S^-1 Pi and the
-row function W = Pi* S^-1) returns None at points where S is numerically
-singular; grid evaluators mask such points.
+Commuting generators make d/dv exp(M) = G_v exp(M) and
+d^2/(dv dw) exp(M) = G_v G_w exp(M). Everything derived from S^-1 (the
+quadratic form Q = Pi* S^-1 Pi and the row function W = Pi* S^-1) returns
+None at points where S is numerically singular; grid evaluators mask such
+points.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from . import linalg
 
 __all__ = [
-    "Polynomial",
     "ExponentRecipe",
     "PiBlock",
     "STerm",
@@ -33,101 +35,36 @@ __all__ = [
     "PseudoExpFamily",
 ]
 
-MAX_POLY_DEGREE = 2
 MAX_DERIV_ORDER = 2
 COMMUTATOR_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Sparse polynomial in ``nvars`` real variables with complex coefficients.
-
-    Coefficients are keyed by exponent tuples, e.g. with variables (x, t)
-    the polynomial x - 2it is {(1, 0): 1, (0, 1): -2j}.
-    """
-
-    nvars: int
-    coeffs: Mapping[tuple[int, ...], complex]
-
-    def __post_init__(self):
-        for expo in self.coeffs:
-            if len(expo) != self.nvars:
-                raise ValueError("exponent tuple length must equal nvars")
-            if any(e < 0 for e in expo):
-                raise ValueError("exponents must be nonnegative")
-
-    def __call__(self, point: Sequence[float]) -> complex:
-        total = 0j
-        for expo, c in self.coeffs.items():
-            term = complex(c)
-            for v, e in zip(point, expo):
-                for _ in range(e):
-                    term *= v
-            total += term
-        return total
-
-    def diff(self, var: int) -> "Polynomial":
-        out: dict[tuple[int, ...], complex] = {}
-        for expo, c in self.coeffs.items():
-            e = expo[var]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[var] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0j) + c * e
-        return Polynomial(self.nvars, out)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    @staticmethod
-    def variable(var: int, nvars: int, coeff: complex = 1.0) -> "Polynomial":
-        expo = tuple(1 if i == var else 0 for i in range(nvars))
-        return Polynomial(nvars, {expo: complex(coeff)})
-
-
 class ExponentRecipe:
-    """Exponent M(vars) = sum_j phi_j(vars) A_j with commuting A_j.
+    """Exponent M(vars) = sum_v vars[v] G_v with commuting constant G_v."""
 
-    Commutativity makes d/dv exp(M) = (sum_j dphi_j/dv A_j) exp(M); the
-    degree cap keeps second derivatives of the phi_j constant.
-    """
-
-    def __init__(self, terms: Sequence[tuple[Polynomial, np.ndarray]]):
-        if not terms:
-            raise ValueError("recipe needs at least one term")
-        checked = []
-        nvars = terms[0][0].nvars
-        dim = None
-        for poly, mat in terms:
-            mat = linalg.as_matrix(mat, "recipe matrix")
-            if poly.nvars != nvars:
-                raise ValueError("all coefficient polynomials must share the variables")
-            if poly.degree() > MAX_POLY_DEGREE:
-                raise ValueError(f"coefficient degree exceeds {MAX_POLY_DEGREE}")
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError("recipe matrices must be square")
-            if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
-                raise ValueError("recipe matrices must share one dimension")
-            checked.append((poly, mat))
-        for i in range(len(checked)):
-            for j in range(i + 1, len(checked)):
-                ai, aj = checked[i][1], checked[j][1]
-                res = linalg.fro(ai @ aj - aj @ ai)
-                if res > COMMUTATOR_RTOL * max(1.0, linalg.fro(ai) * linalg.fro(aj)):
-                    raise ValueError(f"recipe matrices {i} and {j} do not commute (residual {res:.3e})")
-        self.terms = tuple(checked)
-        self.nvars = nvars
+    def __init__(self, generators: Sequence[np.ndarray]):
+        if not generators:
+            raise ValueError("recipe needs at least one generator")
+        gens = tuple(linalg.as_matrix(g, "recipe generator") for g in generators)
+        dim = gens[0].shape[0]
+        for g in gens:
+            if g.shape != (dim, dim):
+                raise ValueError("recipe generators must be square of one dimension")
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                gi, gj = gens[i], gens[j]
+                res = linalg.fro(gi @ gj - gj @ gi)
+                if res > COMMUTATOR_RTOL * max(1.0, linalg.fro(gi) * linalg.fro(gj)):
+                    raise ValueError(f"generators {i} and {j} do not commute (residual {res:.3e})")
+        self.generators = gens
+        self.nvars = len(gens)
         self.dim = int(dim)
         self._exp_cache: dict[tuple[float, ...], np.ndarray] = {}
 
     def exponent(self, point: Sequence[float]) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for poly, mat in self.terms:
-            m = m + poly(point) * mat
+        for v, g in zip(point, self.generators):
+            m = m + v * g
         return m
 
     def exp_value(self, point: Sequence[float]) -> np.ndarray:
@@ -141,23 +78,12 @@ class ExponentRecipe:
             self._exp_cache[key] = hit
         return hit
 
-    def direction(self, point: Sequence[float], var: int) -> np.ndarray:
-        """d/d var of the exponent, a matrix function affine in the variables."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for poly, mat in self.terms:
-            c = poly.diff(var)(point)
-            if c != 0:
-                m = m + c * mat
-        return m
-
-    def curvature(self, v: int, w: int) -> np.ndarray:
-        """Constant second derivative d^2 exponent / (d v d w)."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for poly, mat in self.terms:
-            c = poly.diff(v).diff(w)(np.zeros(self.nvars))
-            if c != 0:
-                m = m + c * mat
-        return m
+    def factor(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """Constant G_v or G_v G_w with d^deriv exp(M) = factor @ exp(M)."""
+        if len(deriv) == 1:
+            return self.generators[deriv[0]]
+        v, w = deriv
+        return self.generators[v] @ self.generators[w]
 
 
 def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
@@ -182,16 +108,9 @@ class PiBlock:
 
     def value(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
         deriv = _canonical(deriv)
-        e = self.recipe.exp_value(point)
-        if not deriv:
-            f = e
-        elif len(deriv) == 1:
-            f = self.recipe.direction(point, deriv[0]) @ e
-        else:
-            v, w = deriv
-            dv = self.recipe.direction(point, v)
-            dw = self.recipe.direction(point, w)
-            f = (self.recipe.curvature(v, w) + dv @ dw) @ e
+        f = self.recipe.exp_value(point)
+        if deriv:
+            f = self.recipe.factor(deriv) @ f
         return self.c @ f @ self.chat
 
 
@@ -221,14 +140,10 @@ class STerm:
         g0 = e @ self.r @ linalg.adjoint(e)
         if not deriv:
             return g0
+        left = self.recipe.factor(deriv)
         if len(deriv) == 1:
-            dv = self.recipe.direction(point, deriv[0])
-            return dv @ g0 + g0 @ linalg.adjoint(dv)
-        v, w = deriv
-        dv = self.recipe.direction(point, v)
-        dw = self.recipe.direction(point, w)
-        h = self.recipe.curvature(v, w)
-        left = h + dv @ dw
+            return left @ g0 + g0 @ linalg.adjoint(left)
+        dv, dw = (self.recipe.generators[i] for i in deriv)
         return (
             left @ g0
             + dv @ g0 @ linalg.adjoint(dw)
@@ -282,6 +197,11 @@ class PseudoExpFamily:
         if self.s0.shape != (self.n, self.n):
             raise ValueError("S0 must be square with the Pi row count")
         self.width = sum(blk.chat.shape[1] for blk in self.pi_blocks)
+        for part in self.pi_blocks + self.s_terms:
+            if part.recipe.nvars != self.nvars:
+                raise ValueError(
+                    f"recipe has {part.recipe.nvars} generators for {self.nvars} variables"
+                )
         for v in range(self.nvars):
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_matrix, parse_real_vector
 
@@ -163,13 +163,7 @@ def build_gnoe(
     )
     node.require_valid()
 
-    recipe = ExponentRecipe(
-        [
-            (Polynomial.variable(X, 3), a1),
-            (Polynomial.variable(T, 3), a2),
-            (Polynomial.variable(Y, 3), a3),
-        ]
-    )
+    recipe = ExponentRecipe([a1, a2, a3])
     family = PseudoExpFamily(
         VAR_NAMES,
         [PiBlock(c, recipe, chat_big)],

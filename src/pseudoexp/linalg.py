@@ -58,10 +58,10 @@ def fro(m: np.ndarray) -> float:
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:
     # Horner form of sum_{k<=terms} m^k / k!
-    n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
+    eye = np.eye(m.shape[0], dtype=complex)
+    acc = eye
     for k in range(terms, 0, -1):
-        acc = np.eye(n, dtype=complex) + (m @ acc) / k
+        acc = eye + (m @ acc) / k
     return acc
 
 

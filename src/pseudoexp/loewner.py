@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError
-from .family import ExponentRecipe, PiBlock, Polynomial
+from .family import ExponentRecipe, PiBlock
 from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector
 
 __all__ = [
@@ -86,13 +86,8 @@ def _factor_block(d_diag: np.ndarray, a: np.ndarray, c: np.ndarray, chat: np.nda
     chat = linalg.as_matrix(chat, "chat")
     if chat.shape[0] != m * width:
         raise ConstructionError("chat row count must equal m times the A dimension")
-    eye_m = np.eye(m, dtype=complex)
-    recipe = ExponentRecipe(
-        [
-            (Polynomial.variable(0, 2), np.kron(np.diag(d_diag).astype(complex), a)),
-            (Polynomial.variable(1, 2), np.kron(eye_m, a)),
-        ]
-    )
+    d_mat = np.diag(d_diag).astype(complex)
+    recipe = ExponentRecipe([np.kron(d_mat, a), np.kron(np.eye(m, dtype=complex), a)])
     return PiBlock(selector_matrix(c), recipe, chat)
 
 
@@ -183,8 +178,7 @@ def evaluator(
     with_fd: bool = True,
 ):
     def psi_fn(p):
-        fields = eval_loewner(sc, p)
-        return None if fields is None else fields[0]
+        return linalg.solve_pivoted(sc.lambda1.value(p), sc.lambda2.value(p))
 
     def evaluate(point):
         analytic = _analytic_residuals(sc, point)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, Polynomial, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_complex, parse_matrix, parse_real
 
@@ -104,12 +104,7 @@ def build_schrodinger(
     )
     node.require_valid()
 
-    recipe = ExponentRecipe(
-        [
-            (Polynomial.variable(0, 2), a),
-            (Polynomial.variable(1, 2, -1j), a @ a),
-        ]
-    )
+    recipe = ExponentRecipe([a, -1j * (a @ a)])
     eye = np.eye(width, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,

@@ -169,7 +169,6 @@ class FamilySpec:
             tolerances: Optional[Mapping[str, float]] = None,
             h: float = verify.DEFAULT_H,
             accuracy: int = verify.DEFAULT_ACCURACY,
-            workers: Optional[int] = None,
         ) -> verify.ResidualReport:
             """Sweep every residual channel over ``grid`` (default: the
             declared grid) against ``tolerances`` (default: the declared
@@ -177,8 +176,6 @@ class FamilySpec:
             path."""
             tol = tolerances or spec.tolerances
             evaluate = spec.evaluator(sc, h=h, accuracy=accuracy, with_fd=spec.fd_channel in tol)
-            return verify.sweep(
-                grid or default_grid(), evaluate, tol, workers=workers, meta={"family": spec.name}
-            )
+            return verify.sweep(grid or default_grid(), evaluate, tol, meta={"family": spec.name})
 
         return verify_scenario

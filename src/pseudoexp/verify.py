@@ -10,8 +10,6 @@ stencil that touches such a point.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -28,12 +26,10 @@ __all__ = [
     "sweep",
     "DEFAULT_H",
     "DEFAULT_ACCURACY",
-    "WORKERS_ENV_VAR",
 ]
 
 DEFAULT_H = 1e-3
 DEFAULT_ACCURACY = 4
-WORKERS_ENV_VAR = "PSEUDOEXP_WORKERS"
 
 # Central-difference stencils as (offset, coefficient) pairs; the result is
 # divided by h**order. Order-4 variants are exact on polynomials through
@@ -219,21 +215,6 @@ class ResidualReport:
         }
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else env var, else 1 (serial).
-
-    The sweep is mostly Python work under the interpreter lock, so threads
-    slow it down (1.5x with two on a 2-core host).
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, int(workers))
-
-
 EvaluateFn = Callable[[tuple[float, ...]], Optional[tuple[Mapping[str, float], float]]]
 
 
@@ -241,10 +222,9 @@ def sweep(
     grid: Grid,
     evaluate: EvaluateFn,
     tolerances: Union[float, Mapping[str, float]],
-    workers: Optional[int] = None,
     meta: Optional[Mapping[str, object]] = None,
 ) -> ResidualReport:
-    """Evaluate per-point residual channels over the grid and aggregate.
+    """Evaluate per-point residual channels over the grid, serially, and aggregate.
 
     ``evaluate`` returns None at singular (masked) points, otherwise a pair
     (absolute residual per channel, local field scale). Relative residuals
@@ -253,16 +233,11 @@ def sweep(
     points = grid.points()
     if not points:
         raise ValueError("grid has no points")
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or len(points) < 4:
-        raw = [evaluate(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            raw = list(pool.map(evaluate, points))
 
     samples: list[PointSample] = []
     field_scale = 0.0
-    for pt, res in zip(points, raw):
+    for pt in points:
+        res = evaluate(pt)
         if res is None:
             samples.append(PointSample(pt, {}, 0.0, True))
             continue

@@ -124,7 +124,7 @@ class TestFields:
 class TestResiduals:
     def test_frozen_scenario_sweep(self, frozen):
         grid = Grid((Axis("t", -1.0, 1.0, 21), Axis("y", -1.0, 1.0, 21)))
-        rep = verify_scenario(frozen, grid=grid, workers=1)
+        rep = verify_scenario(frozen, grid=grid)
         assert rep.masked_count == 21  # the whole line t + y = 0
         assert rep.passed, rep.to_dict()
         assert rep.channels[0].max_relative <= 1e-9
@@ -158,7 +158,7 @@ class TestResiduals:
         rng = np.random.default_rng(7)
         for _ in range(3):
             sc = random_scenario(rng)
-            rep = verify_scenario(sc, grid=default_grid(count=5), workers=1)
+            rep = verify_scenario(sc, grid=default_grid(count=5))
             assert rep.masked_count == 0
             assert rep.passed, rep.to_dict()
 

@@ -7,7 +7,6 @@ from pseudoexp import linalg
 from pseudoexp.family import (
     ExponentRecipe,
     PiBlock,
-    Polynomial,
     PseudoExpFamily,
     SRule,
     STerm,
@@ -19,12 +18,7 @@ I1 = np.eye(1, dtype=complex)
 def schrodinger_recipe(a):
     """Exponent x*A - i*t*A^2 in variables (x, t)."""
     a = np.asarray(a, dtype=complex)
-    return ExponentRecipe(
-        [
-            (Polynomial.variable(0, 2), a),
-            (Polynomial.variable(1, 2, -1j), a @ a),
-        ]
-    )
+    return ExponentRecipe([a, -1j * (a @ a)])
 
 
 def schrodinger_family(a, c, chat, s0, r):
@@ -64,58 +58,43 @@ def singular_line_family():
     return schrodinger_family(a, c, chat, s0, r)
 
 
-class TestPolynomial:
-    def test_eval_and_diff(self):
-        # p(x, t) = x^2 - 2it + 3
-        p = Polynomial(2, {(2, 0): 1.0, (0, 1): -2j, (0, 0): 3.0})
-        assert p((2.0, 1.5)) == pytest.approx(7.0 - 3j)
-        px = p.diff(0)
-        assert px((2.0, 1.5)) == pytest.approx(4.0)
-        assert p.diff(1)((0.0, 0.0)) == -2j
-        assert px.diff(0)((5.0, 5.0)) == 2.0
-        assert p.degree() == 2
-        assert px.diff(0).diff(0).degree() == 0
-
-    def test_variable_helper(self):
-        q = Polynomial.variable(1, 3, coeff=-1j)
-        assert q((7.0, 2.0, 9.0)) == -2j
-        assert q.degree() == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Polynomial(2, {(1,): 1.0})
-        with pytest.raises(ValueError):
-            Polynomial(1, {(-1,): 1.0})
-
-
 class TestExponentRecipe:
-    def test_exponent_direction_curvature(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        rec = schrodinger_recipe(a)
-        a2 = a @ a
-        pt = (0.7, -0.3)
-        np.testing.assert_allclose(rec.exponent(pt), 0.7 * a + 0.3j * a2)
-        np.testing.assert_allclose(rec.direction(pt, 0), a)
-        np.testing.assert_allclose(rec.direction(pt, 1), -1j * a2)
-        assert np.array_equal(rec.curvature(0, 0), np.zeros((2, 2)))
-        assert np.array_equal(rec.curvature(0, 1), np.zeros((2, 2)))
+    def test_exponent_is_sum_of_generators(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        gens = [a, a @ a, -2j * a]
+        rec = ExponentRecipe(gens)
+        assert rec.nvars == 3 and rec.dim == 3
+        pt = (0.7, -0.3, 1.25)
+        want = sum(x * g for x, g in zip(pt, gens))
+        np.testing.assert_allclose(rec.exponent(pt), want, rtol=1e-14, atol=1e-14)
 
-    def test_quadratic_coefficient_curvature(self):
-        m = np.array([[2.0]], dtype=complex)
-        rec = ExponentRecipe([(Polynomial(1, {(2,): 0.5}), m)])
-        np.testing.assert_allclose(rec.direction((3.0,), 0), 3.0 * m)
-        np.testing.assert_allclose(rec.curvature(0, 0), m)
+    def test_pi_second_derivative_is_generator_product(self):
+        a = np.array([[1j, 1.0], [0.0, 1j]], dtype=complex)
+        rec = schrodinger_recipe(a)
+        gx, gt = rec.generators
+        c = np.array([[1.0, 2.0]], dtype=complex)
+        chat = np.array([[0.5], [1.0]], dtype=complex)
+        blk = PiBlock(c, rec, chat)
+        pt = (0.3, -0.6)
+        e = rec.exp_value(pt)
+        for deriv, factor in (((0, 0), gx @ gx), ((0, 1), gx @ gt), ((1, 1), gt @ gt)):
+            np.testing.assert_allclose(blk.value(pt, deriv), c @ factor @ e @ chat, rtol=1e-14)
+        np.testing.assert_allclose(blk.value(pt, (1,)), c @ gt @ e @ chat, rtol=1e-14)
 
     def test_rejects_noncommuting(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         b = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="commute"):
-            ExponentRecipe([(Polynomial.variable(0, 1), a), (Polynomial.variable(0, 1), b)])
+            ExponentRecipe([a, b])
 
-    def test_rejects_high_degree(self):
-        cubic = Polynomial(1, {(3,): 1.0})
-        with pytest.raises(ValueError, match="degree"):
-            ExponentRecipe([(cubic, np.eye(2, dtype=complex))])
+    def test_rejects_misshaped_generators(self):
+        with pytest.raises(ValueError, match="square"):
+            ExponentRecipe([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
+        with pytest.raises(ValueError, match="square"):
+            ExponentRecipe([np.ones((2, 3), dtype=complex)])
+        with pytest.raises(ValueError, match="generator"):
+            ExponentRecipe([])
 
     def test_exp_value_matches_mat_exp(self):
         a = np.array([[1j, 1.0], [0.0, 1j]], dtype=complex)
@@ -195,7 +174,7 @@ class TestSTerm:
 
     def test_negative_sign_flips_contribution(self):
         a = np.array([[1.0]], dtype=complex)
-        rec = ExponentRecipe([(Polynomial.variable(0, 1), a)])
+        rec = ExponentRecipe([a])
         c = np.eye(1, dtype=complex)
         r = np.eye(1, dtype=complex)
         plus = STerm(1.0, c, rec, r)
@@ -254,6 +233,21 @@ class TestSEvaluation:
                 rational_family.s_terms,
                 rational_family.s0,
                 {0: rational_family.s_rules[0]},
+            )
+
+    def test_generator_count_must_match_variables(self, rational_family):
+        one = np.eye(1, dtype=complex)
+        rec = ExponentRecipe([one])
+        rules = {0: [SRule(1.0, (), one, ())], 1: [SRule(1.0, (), one, ())]}
+        with pytest.raises(ValueError, match="1 generators for 2 variables"):
+            PseudoExpFamily(("x", "t"), [PiBlock(one, rec, one)], [], one, rules)
+        with pytest.raises(ValueError, match="2 generators for 1 variables"):
+            PseudoExpFamily(
+                ("x",),
+                [PiBlock(one, rec, one)],
+                [STerm(1.0, one, ExponentRecipe([one, one]), one)],
+                one,
+                {0: rules[0]},
             )
 
     def test_non_hermitian_s0_rejected(self, rational_family):
@@ -364,8 +358,8 @@ class TestMultiBlock:
     def test_two_blocks_concatenate(self):
         a1 = np.array([[0.5]], dtype=complex)
         a2 = np.array([[-0.25]], dtype=complex)
-        rec1 = ExponentRecipe([(Polynomial.variable(0, 1), a1)])
-        rec2 = ExponentRecipe([(Polynomial.variable(0, 1), a2)])
+        rec1 = ExponentRecipe([a1])
+        rec2 = ExponentRecipe([a2])
         c = np.eye(1, dtype=complex)
         blocks = [PiBlock(c, rec1, c), PiBlock(c, rec2, c)]
         terms = [STerm(1.0, c, rec1, np.eye(1, dtype=complex))]
@@ -386,7 +380,7 @@ class TestMultiBlock:
 
     def test_mismatched_block_rows_rejected(self):
         a = np.array([[0.5]], dtype=complex)
-        rec = ExponentRecipe([(Polynomial.variable(0, 1), a)])
+        rec = ExponentRecipe([a])
         one = np.eye(1, dtype=complex)
         two_rows = np.ones((2, 1), dtype=complex)
         with pytest.raises(ValueError, match="row count"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pseudoexp import linalg
+from pseudoexp import linalg, verify
 from pseudoexp.errors import ConstructionError
 from pseudoexp.loewner import (
     build_loewner,
@@ -58,9 +58,7 @@ class TestSelectorMatrix:
 
 class TestBuild:
     def test_kron_exponent_commutes_exactly(self, generic_scenario):
-        terms = generic_scenario.lambda1.recipe.terms
-        breve = terms[0][1]
-        tilde = terms[1][1]
+        breve, tilde = generic_scenario.lambda1.recipe.generators
         assert linalg.fro(breve @ tilde - tilde @ breve) <= 1e-13 * (
             1.0 + linalg.fro(breve) * linalg.fro(tilde)
         )
@@ -153,7 +151,7 @@ class TestResiduals:
         rng = np.random.default_rng(60)
         for _ in range(3):
             sc = random_scenario(rng)
-            rep = verify_scenario(sc, grid=default_grid(count=5), workers=1)
+            rep = verify_scenario(sc, grid=default_grid(count=5))
             assert rep.passed, rep.to_dict()
             assert rep.masked_count == 0
 
@@ -163,6 +161,30 @@ class TestResiduals:
         assert out is not None
         channels, scale = out
         assert channels["system_fd"] <= 1e-6 * (1.0 + scale)
+
+    def test_fd_stencils_solve_only_for_psi(self, generic_scenario, monkeypatch):
+        solve, calls = linalg.solve_pivoted, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_pivoted", counting)
+        pt = (0.21, -0.35)
+        assert evaluator(generic_scenario, with_fd=False)(pt) is not None
+        assert len(calls) == 4  # Psi, L, Psi_x, Psi_y
+        calls.clear()
+        channels, _ = evaluator(generic_scenario, with_fd=True)(pt)
+        # plus one Psi solve per stencil point: four per axis at accuracy 4
+        assert len(calls) == 12
+        monkeypatch.setattr(linalg, "solve_pivoted", solve)
+
+        def psi(p):
+            return eval_loewner(generic_scenario, p)[0]
+
+        ell = eval_loewner(generic_scenario, pt)[1]
+        fd = verify.fd_partial(psi, pt, 0) - ell @ verify.fd_partial(psi, pt, 1)
+        assert channels["system_fd"] == linalg.fro(fd)
 
 
 class TestRandomScenario:

@@ -141,7 +141,7 @@ class TestResiduals:
     def test_singular_line_sweep(self):
         sc, _ = build_singular_line_example()
         grid = Grid((Axis("x", -1.0, 1.0, 9), Axis("t", -1.0, 1.0, 9)))
-        rep = verify_scenario(sc, grid=grid, workers=1)
+        rep = verify_scenario(sc, grid=grid)
         # grid step 0.25: x + 2t = -3/4 hits exactly four grid points
         assert rep.masked_count == 4
         assert rep.passed, rep.to_dict()
@@ -150,7 +150,7 @@ class TestResiduals:
         rng = np.random.default_rng(31)
         for _ in range(3):
             sc = random_scenario(rng)
-            rep = verify_scenario(sc, grid=default_grid(count=5), workers=1)
+            rep = verify_scenario(sc, grid=default_grid(count=5))
             assert rep.masked_count == 0
             assert rep.passed, rep.to_dict()
 

@@ -12,7 +12,6 @@ from pseudoexp.verify import (
     ResidualReport,
     fd_mixed,
     fd_partial,
-    resolve_workers,
     sweep,
 )
 
@@ -144,7 +143,7 @@ def _grid1d(count=5):
 
 class TestSweep:
     def test_zero_residual_passes(self):
-        rep = sweep(_grid1d(), lambda p: ({"eq": 0.0}, 1.0), 1e-9, workers=1)
+        rep = sweep(_grid1d(), lambda p: ({"eq": 0.0}, 1.0), 1e-9)
         assert rep.passed
         assert rep.max_relative == 0.0
         assert rep.masked_count == 0
@@ -152,12 +151,12 @@ class TestSweep:
         assert rep.channels[0].name == "eq"
 
     def test_constant_residual_fails(self):
-        rep = sweep(_grid1d(), lambda p: ({"eq": 1e-3}, 0.0), 1e-6, workers=1)
+        rep = sweep(_grid1d(), lambda p: ({"eq": 1e-3}, 0.0), 1e-6)
         assert not rep.passed
         assert rep.channels[0].max_relative == pytest.approx(1e-3)
 
     def test_scale_denominator(self):
-        rep = sweep(_grid1d(), lambda p: ({"eq": 1.0}, 9.0), 0.2, workers=1)
+        rep = sweep(_grid1d(), lambda p: ({"eq": 1.0}, 9.0), 0.2)
         # relative residual 1/(1+9) = 0.1 <= 0.2
         assert rep.field_scale == 9.0
         assert rep.channels[0].max_relative == pytest.approx(0.1)
@@ -169,33 +168,31 @@ class TestSweep:
                 return None
             return {"eq": 0.0}, 1.0
 
-        rep = sweep(_grid1d(), ev, 1e-9, workers=1)
+        rep = sweep(_grid1d(), ev, 1e-9)
         assert rep.masked_count == 1
         assert rep.masked_points() == [(0.0,)]
         assert rep.passed
 
     def test_fully_masked_grid_fails(self):
-        rep = sweep(_grid1d(), lambda p: None, 1e-9, workers=1)
+        rep = sweep(_grid1d(), lambda p: None, 1e-9)
         assert not rep.passed
         assert rep.masked_count == rep.total_points
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="points"):
-            sweep(Grid(()), lambda p: ({"eq": 0.0}, 1.0), 1e-9, workers=1)
+            sweep(Grid(()), lambda p: ({"eq": 0.0}, 1.0), 1e-9)
 
     def test_per_channel_tolerances(self):
         rep = sweep(
             _grid1d(),
             lambda p: ({"tight": 1e-8, "loose": 1e-4}, 0.0),
             {"tight": 1e-6, "loose": 1e-3},
-            workers=1,
         )
         assert rep.passed
         rep2 = sweep(
             _grid1d(),
             lambda p: ({"tight": 1e-5, "loose": 1e-4}, 0.0),
             {"tight": 1e-6, "loose": 1e-3},
-            workers=1,
         )
         assert not rep2.passed
         by_name = {c.name: c for c in rep2.channels}
@@ -204,7 +201,7 @@ class TestSweep:
 
     def test_missing_channel_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
-            sweep(_grid1d(), lambda p: ({"eq": 0.0}, 1.0), {"other": 1e-9}, workers=1)
+            sweep(_grid1d(), lambda p: ({"eq": 0.0}, 1.0), {"other": 1e-9})
 
     def test_mean_relative(self):
         vals = iter([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -212,51 +209,30 @@ class TestSweep:
         def ev(p):
             return {"eq": next(vals)}, 0.0
 
-        rep = sweep(_grid1d(), ev, 10.0, workers=1)
+        rep = sweep(_grid1d(), ev, 10.0)
         assert rep.channels[0].mean_relative == pytest.approx(3.0)
         assert rep.channels[0].max_absolute == 5.0
 
     def test_non_finite_residual_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sweep(_grid1d(), lambda p: ({"eq": float("nan")}, 1.0), 1e-9, workers=1)
+            sweep(_grid1d(), lambda p: ({"eq": float("nan")}, 1.0), 1e-9)
 
-    def test_parallel_matches_serial(self):
+    def test_evaluates_each_point_once_in_grid_order(self):
+        seen = []
+
         def ev(p):
-            x = p[0]
-            return {"a": abs(np.sin(100 * x)) * 1e-9, "b": x * 1e-10}, 1.0 + x
+            seen.append(p)
+            return {"eq": 0.0}, 1.0
 
-        g = Grid((Axis("x", 0.0, 1.0, 50),))
-        serial = sweep(g, ev, 1e-6, workers=1)
-        parallel = sweep(g, ev, 1e-6, workers=4)
-        assert serial.to_dict() == parallel.to_dict()
+        g = Grid((Axis("x", 0.0, 1.0, 3), Axis("t", -1.0, 1.0, 4)))
+        sweep(g, ev, 1e-9)
+        assert seen == g.points()
 
     def test_report_json_serializable(self):
-        rep = sweep(_grid1d(), lambda p: ({"eq": 1e-12}, 2.0), 1e-9, workers=1, meta={"family": "demo"})
+        rep = sweep(_grid1d(), lambda p: ({"eq": 1e-12}, 2.0), 1e-9, meta={"family": "demo"})
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["passed"] is True
         assert parsed["family"] == "demo"
         assert parsed["total_points"] == 5
 
-
-class TestWorkers:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOEXP_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOEXP_WORKERS", "2")
-        assert resolve_workers() == 2
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOEXP_WORKERS", "lots")
-        with pytest.raises(ValueError, match="PSEUDOEXP_WORKERS"):
-            resolve_workers()
-
-    def test_clamped_to_one(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
-
-    def test_serial_without_argument_or_env(self, monkeypatch):
-        monkeypatch.delenv("PSEUDOEXP_WORKERS", raising=False)
-        assert resolve_workers() == 1
