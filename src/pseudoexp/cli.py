@@ -194,13 +194,14 @@ def _check_not_config(config_path: str, out_path: str) -> None:
 
 def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> list:
     """(point, values of the named fields, or None where S is singular) at
-    every grid point; each point's fields are evaluated once."""
+    every grid point; the fields are evaluated once, for all points in one
+    call."""
+    values, ok = spec.field_values(scenario, grid.stacked())
     index = [spec.fields.index(name) for name in names]
-    rows = []
-    for point in grid.points():
-        values = spec.point_fields(scenario, point)
-        rows.append((point, None if values is None else [values[i] for i in index]))
-    return rows
+    return [
+        (point, [values[i][k] for i in index] if ok[k] else None)
+        for k, point in enumerate(grid.points())
+    ]
 
 
 def _encode_matrix(m: np.ndarray) -> list:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_int, parse_matrix, parse_vector
 
@@ -179,17 +179,19 @@ def build_two_channel(
     return build_dirac(a1, a2, chat, c=c, s0=s0, r=r)
 
 
-def potential(sc: DiracScenario, point: Sequence[float]) -> Optional[np.ndarray]:
-    """V = i(Q sigma2 - sigma2 Q); Hermitian; None where S is singular."""
-    q = sc.family.q(point)
-    if q is None:
-        return None
+@pointwise(masked=True)
+def potential(sc: DiracScenario, points: np.ndarray):
+    """V = i(Q sigma2 - sigma2 Q), Hermitian, at stacked points, with the
+    mask of points where S is not singular."""
+    q, ok = sc.family.q(points)
     v = 1j * (q @ SIGMA2 - SIGMA2 @ q)
-    return (v + linalg.adjoint(v)) / 2.0
+    return (v + linalg.adjoint(v)) / 2.0, ok
 
 
-def wave(sc: DiracScenario, point: Sequence[float]) -> Optional[np.ndarray]:
-    return sc.family.w(point)
+@pointwise(masked=True)
+def wave(sc: DiracScenario, points: np.ndarray):
+    """Psi = Pi* S^-1 at stacked points, with the mask."""
+    return sc.family.w(points)
 
 
 def evaluator(
@@ -200,25 +202,20 @@ def evaluator(
 ):
     """Residual channels for sweep: analytic wave equation, FD cross-check."""
 
-    wave_fn = sc.family.w
+    fam = sc.family
 
-    def evaluate(point):
-        w = sc.family.w(point)
-        if w is None:
-            return None
-        wt = sc.family.w_deriv(point, (0,))
-        wy = sc.family.w_deriv(point, (1,))
-        v = potential(sc, point)
-        if wt is None or wy is None or v is None:
-            return None
+    @pointwise(masked=True, arg=0)
+    def evaluate(points):
+        (w, wt, wy), ok = fam.w_deriv(points, [(), (0,), (1,)])
+        v, ok_v = potential(sc, points)
         channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
+        ok = ok & ok_v
         if with_fd:
-            wt_fd = verify.fd_partial(wave_fn, point, 0, order=1, h=h, accuracy=accuracy)
-            wy_fd = verify.fd_partial(wave_fn, point, 1, order=1, h=h, accuracy=accuracy)
-            if wt_fd is None or wy_fd is None:
-                return None
+            wt_fd, ok_t = verify.fd_partial(fam.w, points, 0, order=1, h=h, accuracy=accuracy)
+            wy_fd, ok_y = verify.fd_partial(fam.w, points, 1, order=1, h=h, accuracy=accuracy)
+            ok = ok & ok_t & ok_y
             channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
-        return channels, max(linalg.fro(w), linalg.fro(v))
+        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), ok
 
     return evaluate
 
@@ -249,7 +246,7 @@ SPEC = FamilySpec(
     fd_channel="wave_fd",
     evaluator=evaluator,
     fields=("potential", "wave"),
-    point_fields=all_fields(potential, wave),
+    field_values=all_fields(potential, wave),
     builders={
         "general": Builder(
             "build_dirac",

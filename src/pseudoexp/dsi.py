@@ -29,13 +29,13 @@ analytically. Nilpotent A_k give fields rational in (x, t, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
@@ -162,38 +162,30 @@ def build_rational_dsi(
     return build_dsi(nil, nil, c1, c2, chat1, chat2, s0=s0)
 
 
-def fields_uq(
-    sc: DsiScenario, point: Sequence[float]
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(u, q1, q2) at the point, or None where S is singular."""
-    q = sc.family.q(point)
-    if q is None:
-        return None
-    qy = sc.family.q_deriv(point, (Y,))
-    if qy is None:
-        return None
+@pointwise(masked=True)
+def fields_uq(sc: DsiScenario, points: np.ndarray):
+    """(u, q1, q2) at stacked points, with the mask of points where S is
+    not singular."""
+    (q, qy), ok = sc.family.q_deriv(points, [(), (Y,)])
     m1 = sc.m1
-    u = 2.0 * q[m1:, :m1]
-    q1 = 0.5 * (linalg.adjoint(u) @ u) - 2.0 * qy[:m1, :m1]
-    q2 = -0.5 * (u @ linalg.adjoint(u)) + 2.0 * qy[m1:, m1:]
-    return u, q1, q2
+    u = 2.0 * q[:, m1:, :m1]
+    q1 = 0.5 * (linalg.adjoint(u) @ u) - 2.0 * qy[:, :m1, :m1]
+    q2 = -0.5 * (u @ linalg.adjoint(u)) + 2.0 * qy[:, m1:, m1:]
+    return (u, q1, q2), ok
 
 
-def premise_residuals(sc: DsiScenario, point: Sequence[float]) -> tuple[dict, float]:
-    """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j."""
-    fam = sc.family
+@pointwise(masked=False)
+def premise_residuals(sc: DsiScenario, points: np.ndarray):
+    """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j, and the
+    scale 1 + ||Pi||, at stacked points."""
     j = sc.j_mat
-    pi_x = fam.pi(point, (X,))
-    pi_t = fam.pi(point, (T,))
-    pi_y = fam.pi(point, (Y,))
-    pi_yy = fam.pi(point, (Y, Y))
-    scale = 1.0 + linalg.fro(fam.pi(point))
+    pi, pi_x, pi_t, pi_y, pi_yy = sc.family.pi(points, [(), (X,), (T,), (Y,), (Y, Y)])
     return (
         {
             "premise_x": linalg.fro(pi_x - pi_y @ j),
             "premise_t": linalg.fro(pi_t + 1j * pi_yy @ j),
         },
-        scale,
+        1.0 + linalg.fro(pi),
     )
 
 
@@ -207,21 +199,22 @@ def evaluator(
     and the two first-order coupling equations.
     """
 
-    def evaluate(point):
-        # The stencil offsets along x are shared by five channel functions;
-        # cache the fields per offset so each point is assembled once.
+    @pointwise(masked=True, arg=0)
+    def evaluate(points):
+        # The stencil offsets along x and y are shared by five channel
+        # functions; the fields at each shifted stack are computed once.
         cache: dict = {}
 
         def fields_at(p):
-            key = tuple(float(v) for v in p)
+            key = p.tobytes()
             if key not in cache:
-                cache[key] = fields_uq(sc, key)
+                cache[key] = fields_uq(sc, p)
             return cache[key]
 
         def of_fields(fn):
             def value(p):
-                f = fields_at(p)
-                return None if f is None else fn(*f)
+                (u, q1, q2), ok = fields_at(p)
+                return fn(u, q1, q2), ok
 
             return value
 
@@ -231,34 +224,27 @@ def evaluator(
         uu_star = of_fields(lambda u, q1, q2: u @ linalg.adjoint(u))
         u_star_u = of_fields(lambda u, q1, q2: linalg.adjoint(u) @ u)
 
-        f = fields_at(point)
-        if f is None:
-            return None
-        u, q1, q2 = f
-        channels, scale = premise_residuals(sc, point)
-        scale = max(scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2))
+        (u, q1, q2), ok = fields_at(points)
+        channels, scale = premise_residuals(sc, points)
+        scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
         if with_fd:
-            u_t = verify.fd_partial(u_fn, point, T, order=1, h=h, accuracy=accuracy)
-            u_xx = verify.fd_partial(u_fn, point, X, order=2, h=h, accuracy=accuracy)
-            u_yy = verify.fd_partial(u_fn, point, Y, order=2, h=h, accuracy=accuracy)
-            q1_x = verify.fd_partial(q1_fn, point, X, order=1, h=h, accuracy=accuracy)
-            q1_y = verify.fd_partial(q1_fn, point, Y, order=1, h=h, accuracy=accuracy)
-            q2_x = verify.fd_partial(q2_fn, point, X, order=1, h=h, accuracy=accuracy)
-            q2_y = verify.fd_partial(q2_fn, point, Y, order=1, h=h, accuracy=accuracy)
-            usu_x = verify.fd_partial(u_star_u, point, X, order=1, h=h, accuracy=accuracy)
-            usu_y = verify.fd_partial(u_star_u, point, Y, order=1, h=h, accuracy=accuracy)
-            uus_x = verify.fd_partial(uu_star, point, X, order=1, h=h, accuracy=accuracy)
-            uus_y = verify.fd_partial(uu_star, point, Y, order=1, h=h, accuracy=accuracy)
-            parts = (u_t, u_xx, u_yy, q1_x, q1_y, q2_x, q2_y, usu_x, usu_y, uus_x, uus_y)
-            if any(p is None for p in parts):
-                return None
+            def d(fn, var, order=1):
+                return verify.fd_partial(fn, points, var, order=order, h=h, accuracy=accuracy)
+
+            parts = (
+                d(u_fn, T), d(u_fn, X, 2), d(u_fn, Y, 2),
+                d(q1_fn, X), d(q1_fn, Y), d(q2_fn, X), d(q2_fn, Y),
+                d(u_star_u, X), d(u_star_u, Y), d(uu_star, X), d(uu_star, Y),
+            )
+            ok = np.logical_and.reduce([ok] + [good for _, good in parts])
+            u_t, u_xx, u_yy, q1_x, q1_y, q2_x, q2_y, usu_x, usu_y, uus_x, uus_y = (v for v, _ in parts)
             evolution = 1j * u_t - 0.5 * (u_xx + u_yy) - (u @ q1 - q2 @ u)
             coupling1 = q1_x - q1_y - 0.5 * (usu_y + usu_x)
             coupling2 = q2_x + q2_y - 0.5 * (uus_y - uus_x)
             channels["evolution_fd"] = linalg.fro(evolution)
             channels["coupling1_fd"] = linalg.fro(coupling1)
             channels["coupling2_fd"] = linalg.fro(coupling2)
-        return channels, scale
+        return (channels, scale), ok
 
     return evaluate
 
@@ -283,10 +269,7 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 2) -> DsiScenario:
         chat1 = 0.25 * (rng.normal(size=(dims[0], m1)) + 1j * rng.normal(size=(dims[0], m1)))
         chat2 = 0.25 * (rng.normal(size=(dims[1], m2)) + 1j * rng.normal(size=(dims[1], m2)))
         sc = build_dsi(a1, a2, c1, c2, chat1, chat2, s0=np.eye(n_rows, dtype=complex))
-        min_eig = min(
-            float(np.linalg.eigvalsh(sc.family.s(pt)).min())
-            for pt in default_grid(count=3, half_width=0.8).points()
-        )
+        min_eig = np.linalg.eigvalsh(sc.family.s(default_grid(count=3, half_width=0.8).stacked())).min()
         if min_eig > 0.2:
             return sc
     raise ConstructionError("failed to draw a nonsingular scenario")
@@ -312,7 +295,7 @@ SPEC = FamilySpec(
     fd_channel="evolution_fd",
     evaluator=evaluator,
     fields=("u", "q1", "q2"),
-    point_fields=fields_uq,
+    field_values=fields_uq,
     builders={
         "general": Builder(
             "build_dsi",

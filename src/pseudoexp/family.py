@@ -11,17 +11,28 @@ A solution family is described by
   c * (d^alpha Pi) nu (d^beta Pi)*, which hold because of the node
   identities and are cross-checked against brute-force differentiation.
 
-Commuting generators make d/dv exp(M) = G_v exp(M) and
-d^2/(dv dw) exp(M) = G_v G_w exp(M). Everything derived from S^-1 (the
-quadratic form Q = Pi* S^-1 Pi and the row function W = Pi* S^-1) returns
-None at points where S is numerically singular; grid evaluators mask such
-points.
+Commuting generators make exp(M) = prod_v exp(vars[v] G_v) (Moler and Van
+Loan, SIAM Review 45(1), 2003), d/dv exp(M) = G_v exp(M) and
+d^2/(dv dw) exp(M) = G_v G_w exp(M). A stack of points therefore needs one
+exp(x G_v) per distinct value x of each coordinate, not one exponential
+per point.
+
+Points come stacked: an (N, nvars) array, last index the variable. Every
+quantity comes back stacked along a leading axis of length N (Pi as
+(N, n, width), S as (N, n, n)). What is derived from S^-1 (the quadratic
+form Q = Pi* S^-1 Pi, the row function W = Pi* S^-1 and their derivatives)
+comes paired with a boolean mask ``ok`` of shape (N,): False where S is
+numerically singular, and the values there are zero. Grid evaluators mask
+such points. Given one point (a flat sequence of nvars coordinates)
+instead, each function runs on a stack of one and returns that point's
+value, or None where S is singular (``pointwise``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,10 +44,49 @@ __all__ = [
     "STerm",
     "SRule",
     "PseudoExpFamily",
+    "pointwise",
 ]
 
 MAX_DERIV_ORDER = 2
 COMMUTATOR_RTOL = 1e-10
+
+
+def pointwise(masked: bool, arg: int = 1) -> Callable:
+    """Let a function of stacked points also take a single point.
+
+    The decorated function takes an (N, nvars) array as its positional
+    argument number ``arg`` and returns arrays with a leading axis of
+    length N (possibly in tuples or dicts), paired with an (N,) mask when
+    ``masked``. Given one point instead, it runs on a stack of one and
+    returns that point's entries, or None where the mask is False.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            points = np.asarray(args[arg], dtype=float)
+            if points.ndim == 2:
+                return fn(*args[:arg], points, *args[arg + 1 :], **kwargs)
+            if points.ndim != 1:
+                raise ValueError(f"expected one point or an (N, nvars) stack, got shape {points.shape}")
+            out = fn(*args[:arg], points[None], *args[arg + 1 :], **kwargs)
+            if masked:
+                out, ok = out
+                if not ok[0]:
+                    return None
+            return _first(out)
+
+        return wrapper
+
+    return decorate
+
+
+def _first(value):
+    if isinstance(value, tuple):
+        return tuple(_first(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _first(v) for k, v in value.items()}
+    return value[0]
 
 
 class ExponentRecipe:
@@ -59,7 +109,6 @@ class ExponentRecipe:
         self.generators = gens
         self.nvars = len(gens)
         self.dim = int(dim)
-        self._exp_cache: dict[tuple[float, ...], np.ndarray] = {}
 
     def exponent(self, point: Sequence[float]) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
@@ -67,16 +116,16 @@ class ExponentRecipe:
             m = m + v * g
         return m
 
-    def exp_value(self, point: Sequence[float]) -> np.ndarray:
-        """exp(M(point)), memoized per point (grid sweeps revisit points)."""
-        key = tuple(float(v) for v in point)
-        hit = self._exp_cache.get(key)
-        if hit is None:
-            if len(self._exp_cache) >= 8192:
-                self._exp_cache.clear()
-            hit = linalg.mat_exp(self.exponent(point))
-            self._exp_cache[key] = hit
-        return hit
+    @pointwise(masked=False)
+    def exp_value(self, points: np.ndarray) -> np.ndarray:
+        """exp(M) at stacked points as the product of exp(x G_v) over the
+        variables, with one ``mat_exp`` per distinct coordinate value."""
+        out = None
+        for v, g in enumerate(self.generators):
+            values, inverse = np.unique(points[:, v], return_inverse=True)
+            factors = np.array([linalg.mat_exp(x * g) for x in values]).reshape(-1, self.dim, self.dim)
+            out = factors[inverse] if out is None else out @ factors[inverse]
+        return out
 
     def factor(self, deriv: tuple[int, ...]) -> np.ndarray:
         """Constant G_v or G_v G_w with d^deriv exp(M) = factor @ exp(M)."""
@@ -90,6 +139,14 @@ def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
     if len(deriv) > MAX_DERIV_ORDER:
         raise ValueError(f"derivative order {len(deriv)} exceeds {MAX_DERIV_ORDER}")
     return tuple(sorted(deriv))
+
+
+def _each(derivs, fn: Callable):
+    """``fn`` of one multi-index (a tuple of variable indices), or the tuple
+    of ``fn`` over a list of multi-indices."""
+    if all(isinstance(d, (int, np.integer)) for d in derivs):
+        return fn(_canonical(derivs))
+    return tuple(fn(_canonical(d)) for d in derivs)
 
 
 @dataclass(frozen=True)
@@ -106,11 +163,16 @@ class PiBlock:
         if self.c.shape[1] != self.recipe.dim or self.chat.shape[0] != self.recipe.dim:
             raise ValueError("C and chat must conform with the recipe dimension")
 
-    def value(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
-        deriv = _canonical(deriv)
-        f = self.recipe.exp_value(point)
-        if deriv:
-            f = self.recipe.factor(deriv) @ f
+    @pointwise(masked=False)
+    def value(self, points: np.ndarray, derivs=()):
+        """The block or its derivatives at stacked points, for one
+        multi-index or a list of them."""
+        e = self.recipe.exp_value(points)
+        return _each(derivs, lambda deriv: self.at(e, deriv))
+
+    def at(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv of the block, given exp(M) at stacked points."""
+        f = self.recipe.factor(deriv) @ e if deriv else e
         return self.c @ f @ self.chat
 
 
@@ -133,10 +195,13 @@ class STerm:
         if self.c.shape[1] != self.recipe.dim or self.r.shape != (self.recipe.dim, self.recipe.dim):
             raise ValueError("C and R must conform with the recipe dimension")
 
-    def core(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
-        """d^deriv of exp(M) R exp(M)* by the product rule."""
-        deriv = _canonical(deriv)
-        e = self.recipe.exp_value(point)
+    @pointwise(masked=False)
+    def core(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
+        """d^deriv of exp(M) R exp(M)* at stacked points."""
+        return self._core(self.recipe.exp_value(points), _canonical(deriv))
+
+    def _core(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
+        # The product rule, given exp(M) at stacked points.
         g0 = e @ self.r @ linalg.adjoint(e)
         if not deriv:
             return g0
@@ -151,8 +216,13 @@ class STerm:
             + g0 @ linalg.adjoint(left)
         )
 
-    def value(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
-        return self.sign * (self.c @ self.core(point, deriv) @ linalg.adjoint(self.c))
+    @pointwise(masked=False)
+    def value(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
+        return self.at(self.recipe.exp_value(points), _canonical(deriv))
+
+    def at(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv of the term, given exp(M) at stacked points."""
+        return self.sign * (self.c @ self._core(e, deriv) @ linalg.adjoint(self.c))
 
 
 @dataclass(frozen=True)
@@ -169,8 +239,115 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + linalg.adjoint(m)) / 2.0
 
 
+class _AtPoints:
+    """A family at one stack of points. Each exp(M) is computed once per
+    recipe, and Pi, S and Y = S^-1 Pi once per multi-index; every Y solve
+    narrows ``ok``."""
+
+    def __init__(self, family: "PseudoExpFamily", points: np.ndarray):
+        self.family = family
+        self.points = points
+        self.ok = np.ones(len(points), dtype=bool)
+        self._exp: dict = {}
+        self._pi: dict = {}
+        self._s: dict = {}
+        self._y: dict = {}
+
+    def exp(self, recipe: ExponentRecipe) -> np.ndarray:
+        if recipe not in self._exp:
+            self._exp[recipe] = recipe.exp_value(self.points)
+        return self._exp[recipe]
+
+    def pi(self, deriv: tuple[int, ...]) -> np.ndarray:
+        deriv = _canonical(deriv)
+        if deriv not in self._pi:
+            blocks = self.family.pi_blocks
+            self._pi[deriv] = np.concatenate([b.at(self.exp(b.recipe), deriv) for b in blocks], axis=-1)
+        return self._pi[deriv]
+
+    def s(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """S or one of its derivatives via the identity-based rules."""
+        if deriv in self._s:
+            return self._s[deriv]
+        fam, adj = self.family, linalg.adjoint
+        if not deriv:
+            s = np.broadcast_to(fam.s0, (len(self.points), fam.n, fam.n))
+            for term in fam.s_terms:
+                s = s + term.at(self.exp(term.recipe), ())
+            out = _hermitize(s)
+        else:
+            v, rest = deriv[0], deriv[1:]
+            out = np.zeros((len(self.points), fam.n, fam.n), dtype=complex)
+            for rule in fam.s_rules[v]:
+                if not rest:
+                    out = out + rule.coeff * (self.pi(rule.left) @ rule.middle @ adj(self.pi(rule.right)))
+                else:
+                    w = rest[0]
+                    out = out + rule.coeff * (
+                        self.pi(rule.left + (w,)) @ rule.middle @ adj(self.pi(rule.right))
+                    )
+                    out = out + rule.coeff * (
+                        self.pi(rule.left) @ rule.middle @ adj(self.pi(rule.right + (w,)))
+                    )
+        self._s[deriv] = out
+        return out
+
+    def y(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv Y, by one solve against S for each multi-index."""
+        if deriv not in self._y:
+            if not deriv:
+                u = self.pi(())
+            elif len(deriv) == 1:
+                u = self.pi(deriv) - self.s(deriv) @ self.y(())
+            else:
+                v, w = deriv
+                u = (
+                    self.pi(deriv)
+                    - self.s(deriv) @ self.y(())
+                    - self.s((v,)) @ self.y((w,))
+                    - self.s((w,)) @ self.y((v,))
+                )
+            y, ok = linalg.solve_pivoted(self.s(()), u)
+            self.ok &= ok
+            self._y[deriv] = y
+        return self._y[deriv]
+
+    def w(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv W, using that W = (S^-1 Pi)* for Hermitian S."""
+        return linalg.adjoint(self.y(deriv))
+
+    def q(self, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv Q via d(S^-1) = -S^-1 (dS) S^-1; Hermitian."""
+        adj = linalg.adjoint
+        y0 = self.y(())
+        if not deriv:
+            return _hermitize(adj(self.pi(())) @ y0)
+        if len(deriv) == 1:
+            pv = self.pi(deriv)
+            return _hermitize(adj(pv) @ y0 + adj(y0) @ pv - adj(y0) @ self.s(deriv) @ y0)
+        v, w = deriv
+        pv, pvw = self.pi((v,)), self.pi(deriv)
+        yw = self.y((w,))
+        sv, svw = self.s((v,)), self.s(deriv)
+        return _hermitize(
+            adj(pvw) @ y0
+            + adj(pv) @ yw
+            + adj(yw) @ pv
+            + adj(y0) @ pvw
+            - adj(yw) @ sv @ y0
+            - adj(y0) @ svw @ y0
+            - adj(y0) @ sv @ yw
+        )
+
+
 class PseudoExpFamily:
-    """Pi/S evaluator with analytic derivatives to second order."""
+    """Pi/S evaluator with analytic derivatives to second order.
+
+    ``derivs`` arguments take one multi-index, such as ``(0,)`` or
+    ``(0, 1)``, or a list of them; a list returns a tuple with one stacked
+    array per multi-index, all from one assembly of S, with each derivative
+    of Y = S^-1 Pi they need solved once.
+    """
 
     def __init__(
         self,
@@ -206,149 +383,53 @@ class PseudoExpFamily:
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
 
-    # -- Pi ---------------------------------------------------------------
+    @pointwise(masked=False)
+    def pi(self, points: np.ndarray, derivs=()):
+        """Pi or its derivatives, (N, n, width) each."""
+        return _each(derivs, _AtPoints(self, points).pi)
 
-    def pi(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
-        return np.hstack([blk.value(point, deriv) for blk in self.pi_blocks])
+    @pointwise(masked=False)
+    def s(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
+        """S or one of its derivatives via the identity-based rules, (N, n, n)."""
+        return _AtPoints(self, points).s(_canonical(deriv))
 
-    # -- S ----------------------------------------------------------------
-
-    def s(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
-        """S or one of its derivatives via the identity-based rules."""
-        deriv = _canonical(deriv)
-        if not deriv:
-            s = self.s0.copy()
-            for term in self.s_terms:
-                s = s + term.value(point)
-            return _hermitize(s)
-        v, rest = deriv[0], deriv[1:]
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for rule in self.s_rules[v]:
-            if not rest:
-                out = out + rule.coeff * (
-                    self.pi(point, rule.left) @ rule.middle @ linalg.adjoint(self.pi(point, rule.right))
-                )
-            else:
-                w = rest[0]
-                out = out + rule.coeff * (
-                    self.pi(point, rule.left + (w,))
-                    @ rule.middle
-                    @ linalg.adjoint(self.pi(point, rule.right))
-                )
-                out = out + rule.coeff * (
-                    self.pi(point, rule.left)
-                    @ rule.middle
-                    @ linalg.adjoint(self.pi(point, rule.right + (w,)))
-                )
-        return out
-
-    def s_direct(self, point: Sequence[float], deriv: Sequence[int] = ()) -> np.ndarray:
+    @pointwise(masked=False)
+    def s_direct(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
         """Same quantity by brute-force differentiation of the S terms."""
         deriv = _canonical(deriv)
         if not deriv:
-            return self.s(point)
-        out = np.zeros((self.n, self.n), dtype=complex)
+            return self.s(points)
+        out = np.zeros((len(points), self.n, self.n), dtype=complex)
         for term in self.s_terms:
-            out = out + term.value(point, deriv)
+            out = out + term.value(points, deriv)
         return out
 
-    # -- quantities through S^-1 -------------------------------------------
+    # -- quantities through S^-1, each with its mask -------------------------
 
-    def _solve(self, point: Sequence[float], rhs: np.ndarray) -> Optional[np.ndarray]:
-        return linalg.solve_pivoted(self.s(point), rhs)
+    @pointwise(masked=True)
+    def q(self, points: np.ndarray):
+        """Q = Pi* S^-1 Pi (Hermitian) and the mask."""
+        at = _AtPoints(self, points)
+        q = at.q(())
+        return q, at.ok
 
-    def q(self, point: Sequence[float]) -> Optional[np.ndarray]:
-        """Q = Pi* S^-1 Pi (Hermitian), or None where S is singular."""
-        pi = self.pi(point)
-        y = self._solve(point, pi)
-        if y is None:
-            return None
-        return _hermitize(linalg.adjoint(pi) @ y)
+    @pointwise(masked=True)
+    def w(self, points: np.ndarray):
+        """W = Pi* S^-1 and the mask."""
+        at = _AtPoints(self, points)
+        w = at.w(())
+        return w, at.ok
 
-    def w(self, point: Sequence[float]) -> Optional[np.ndarray]:
-        """W = Pi* S^-1, or None where S is singular."""
-        y = self._solve(point, self.pi(point))
-        if y is None:
-            return None
-        return linalg.adjoint(y)
+    @pointwise(masked=True)
+    def q_deriv(self, points: np.ndarray, derivs):
+        """Derivatives of Q (Hermitian) and the mask."""
+        at = _AtPoints(self, points)
+        values = _each(derivs, at.q)
+        return values, at.ok
 
-    def _y_derivs(self, point: Sequence[float], deriv: tuple[int, ...]):
-        """Y = S^-1 Pi and its requested derivatives, or None if masked.
-
-        Returns a dict keyed by canonical multi-index, closed under
-        sub-indices of ``deriv``.
-        """
-        s = self.s(point)
-        pi0 = self.pi(point)
-        y0 = linalg.solve_pivoted(s, pi0)
-        if y0 is None:
-            return None
-        values: dict[tuple[int, ...], np.ndarray] = {(): y0}
-
-        def y_first(v: int) -> Optional[np.ndarray]:
-            key = (v,)
-            if key not in values:
-                u = self.pi(point, key) - self.s(point, key) @ y0
-                yv = linalg.solve_pivoted(s, u)
-                if yv is None:
-                    return None
-                values[key] = yv
-            return values[key]
-
-        if len(deriv) == 1:
-            if y_first(deriv[0]) is None:
-                return None
-        elif len(deriv) == 2:
-            v, w = deriv
-            yv = y_first(v)
-            yw = y_first(w)
-            if yv is None or yw is None:
-                return None
-            u = (
-                self.pi(point, deriv)
-                - self.s(point, deriv) @ y0
-                - self.s(point, (v,)) @ yw
-                - self.s(point, (w,)) @ yv
-            )
-            yvw = linalg.solve_pivoted(s, u)
-            if yvw is None:
-                return None
-            values[deriv] = yvw
-        return values
-
-    def w_deriv(self, point: Sequence[float], deriv: Sequence[int]) -> Optional[np.ndarray]:
-        """d^deriv W, using that W = (S^-1 Pi)* for Hermitian S."""
-        deriv = _canonical(deriv)
-        values = self._y_derivs(point, deriv)
-        if values is None:
-            return None
-        return linalg.adjoint(values[deriv])
-
-    def q_deriv(self, point: Sequence[float], deriv: Sequence[int]) -> Optional[np.ndarray]:
-        """d^deriv Q via d(S^-1) = -S^-1 (dS) S^-1; Hermitian, None if masked."""
-        deriv = _canonical(deriv)
-        if not deriv:
-            return self.q(point)
-        values = self._y_derivs(point, deriv)
-        if values is None:
-            return None
-        y0 = values[()]
-        if len(deriv) == 1:
-            (v,) = deriv
-            pv = self.pi(point, deriv)
-            qv = linalg.adjoint(pv) @ y0 + linalg.adjoint(y0) @ pv - linalg.adjoint(y0) @ self.s(point, deriv) @ y0
-            return _hermitize(qv)
-        v, w = deriv
-        pv, pw, pvw = self.pi(point, (v,)), self.pi(point, (w,)), self.pi(point, deriv)
-        yv, yw = values[(v,)], values[(w,)]
-        sv, sw, svw = self.s(point, (v,)), self.s(point, (w,)), self.s(point, deriv)
-        qvw = (
-            linalg.adjoint(pvw) @ y0
-            + linalg.adjoint(pv) @ yw
-            + linalg.adjoint(yw) @ pv
-            + linalg.adjoint(y0) @ pvw
-            - linalg.adjoint(yw) @ sv @ y0
-            - linalg.adjoint(y0) @ svw @ y0
-            - linalg.adjoint(y0) @ sv @ yw
-        )
-        return _hermitize(qvw)
+    @pointwise(masked=True)
+    def w_deriv(self, points: np.ndarray, derivs):
+        """Derivatives of W and the mask."""
+        at = _AtPoints(self, points)
+        values = _each(derivs, at.w)
+        return values, at.ok

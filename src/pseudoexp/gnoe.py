@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_matrix, parse_real_vector
 
@@ -178,14 +178,25 @@ def build_gnoe(
     return GnoeScenario(a, chat, c, d_diag, dtilde_diag, b_diag, r, s0, node, family)
 
 
-def xi(sc: GnoeScenario, point: Sequence[float]) -> Optional[np.ndarray]:
-    q = sc.family.q(point)
-    return None if q is None else q @ sc.b_mat
+@pointwise(masked=True)
+def xi(sc: GnoeScenario, points: np.ndarray):
+    """xi = Q B at stacked points, with the mask of points where S is not
+    singular."""
+    q, ok = sc.family.q(points)
+    return q @ sc.b_mat, ok
 
 
-def xi_deriv(sc: GnoeScenario, point: Sequence[float], var: int) -> Optional[np.ndarray]:
-    qd = sc.family.q_deriv(point, (var,))
-    return None if qd is None else qd @ sc.b_mat
+@pointwise(masked=True)
+def xi_deriv(sc: GnoeScenario, points: np.ndarray, var: int):
+    qd, ok = sc.family.q_deriv(points, (var,))
+    return qd @ sc.b_mat, ok
+
+
+def _xi_and_first_derivs(sc: GnoeScenario, points: np.ndarray):
+    """(xi, xi_x, xi_t, xi_y) and the mask, from one assembly of S and one
+    solve."""
+    quantities, ok = sc.family.q_deriv(points, [(), (X,), (T,), (Y,)])
+    return tuple(q @ sc.b_mat for q in quantities), ok
 
 
 def _system_form(
@@ -203,33 +214,27 @@ def _system_form(
     return lhs - rhs
 
 
-def system_residual(sc: GnoeScenario, point: Sequence[float]) -> Optional[tuple[float, float]]:
-    """(absolute residual, local scale) of the analytic first-derivative form."""
-    f = xi(sc, point)
-    if f is None:
-        return None
-    parts = [xi_deriv(sc, point, v) for v in (X, T, Y)]
-    if any(p is None for p in parts):
-        return None
-    f_x, f_t, f_y = parts
+@pointwise(masked=True)
+def system_residual(sc: GnoeScenario, points: np.ndarray):
+    """(absolute residual, local scale) of the analytic first-derivative
+    form at stacked points, with the mask."""
+    (f, f_x, f_t, f_y), ok = _xi_and_first_derivs(sc, points)
     res = _system_form(sc.d_mat, sc.dtilde_mat, f, f_x, f_t, f_y)
-    scale = max(linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y))
-    return linalg.fro(res), scale
+    scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])
+    return (linalg.fro(res), scale), ok
 
 
-def premise_residuals(sc: GnoeScenario, point: Sequence[float]) -> tuple[dict, float]:
-    """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde."""
-    fam = sc.family
-    pi_x = fam.pi(point, (X,))
-    pi_t = fam.pi(point, (T,))
-    pi_y = fam.pi(point, (Y,))
-    scale = 1.0 + linalg.fro(fam.pi(point))
+@pointwise(masked=False)
+def premise_residuals(sc: GnoeScenario, points: np.ndarray):
+    """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
+    scale 1 + ||Pi||, at stacked points."""
+    pi, pi_x, pi_t, pi_y = sc.family.pi(points, [(), (X,), (T,), (Y,)])
     return (
         {
             "premise_x": linalg.fro(pi_x - pi_y @ sc.d_mat),
             "premise_t": linalg.fro(pi_t - pi_y @ sc.dtilde_mat),
         },
-        scale,
+        1.0 + linalg.fro(pi),
     )
 
 
@@ -242,16 +247,11 @@ def evaluator(
     def xi_fn(p):
         return xi(sc, p)
 
-    def evaluate(point):
-        f = xi(sc, point)
-        if f is None:
-            return None
-        parts = [xi_deriv(sc, point, v) for v in (X, T, Y)]
-        if any(p is None for p in parts):
-            return None
-        f_x, f_t, f_y = parts
-        scale = max(linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y))
-        channels, _ = premise_residuals(sc, point)
+    @pointwise(masked=True, arg=0)
+    def evaluate(points):
+        (f, f_x, f_t, f_y), ok = _xi_and_first_derivs(sc, points)
+        scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])
+        channels, _ = premise_residuals(sc, points)
         channels["system_analytic"] = linalg.fro(
             _system_form(sc.d_mat, sc.dtilde_mat, f, f_x, f_t, f_y)
         )
@@ -259,15 +259,14 @@ def evaluator(
             linalg.adjoint(f) - sc.b_mat @ f @ sc.b_mat
         )
         if with_fd:
-            g_x = verify.fd_partial(xi_fn, point, X, order=1, h=h, accuracy=accuracy)
-            g_t = verify.fd_partial(xi_fn, point, T, order=1, h=h, accuracy=accuracy)
-            g_y = verify.fd_partial(xi_fn, point, Y, order=1, h=h, accuracy=accuracy)
-            if g_x is None or g_t is None or g_y is None:
-                return None
+            g_x, ok_x = verify.fd_partial(xi_fn, points, X, order=1, h=h, accuracy=accuracy)
+            g_t, ok_t = verify.fd_partial(xi_fn, points, T, order=1, h=h, accuracy=accuracy)
+            g_y, ok_y = verify.fd_partial(xi_fn, points, Y, order=1, h=h, accuracy=accuracy)
+            ok = ok & ok_x & ok_t & ok_y
             channels["system_fd"] = linalg.fro(
                 _system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y)
             )
-        return channels, scale
+        return (channels, scale), ok
 
     return evaluate
 
@@ -292,10 +291,7 @@ def random_scenario(
             rng.normal(size=(big_n, big_n)) + 1j * rng.normal(size=(big_n, big_n))
         )
         sc = build_gnoe(a, chat, c, d, dtilde, b)
-        min_eig = min(
-            float(np.linalg.eigvalsh(sc.family.s(pt)).min())
-            for pt in default_grid(count=3).points()
-        )
+        min_eig = np.linalg.eigvalsh(sc.family.s(default_grid(count=3).stacked())).min()
         if min_eig > 0.2:
             return sc
     raise ConstructionError("failed to draw a nonsingular scenario")
@@ -315,7 +311,7 @@ SPEC = FamilySpec(
     fd_channel="system_fd",
     evaluator=evaluator,
     fields=("xi",),
-    point_fields=all_fields(xi),
+    field_values=all_fields(xi),
     builders={
         "general": Builder(
             "build_gnoe",

@@ -1,8 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
-complex128.  Desk scale only: matrix dimensions are small (a few dozen at
-most), so the solvers favour transparency over asymptotics.
+complex128, or stacks of them along a leading axis (``adjoint``, ``fro``
+and ``solve_pivoted`` act on the last two axes). Desk scale only: matrix
+dimensions are small (a few dozen at most), so the solvers favour
+transparency over asymptotics.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def fro(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+def fro(m: np.ndarray):
+    """Frobenius norm over the last two axes: a float for one matrix, an
+    array of norms for a stack."""
+    norms = np.linalg.norm(m, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:
@@ -189,43 +193,59 @@ def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
     )
 
 
-def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray | None:
+def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL):
     """Solve S X = RHS by Gaussian elimination with partial pivoting.
 
-    Returns None (the singular flag) as soon as a pivot magnitude falls below
-    ``pivot_rtol * ||S||_F``; callers mask such points rather than handle an
-    exception.
+    A stack of systems, S of shape (N, n, n) and RHS (N, n, k), returns
+    (X, ok). The elimination runs over the n columns, each step acting on
+    all N systems; ok[i] is False where system i met a pivot of magnitude
+    below ``pivot_rtol * ||S_i||_F`` (the singular flag), and X[i] is zero
+    there. One system, S of shape (n, n), returns X, or None where it is
+    singular; callers mask such points rather than handle an exception.
     """
-    s = as_matrix(s, "S")
-    rhs = as_matrix(rhs, "RHS")
-    n, nc = s.shape
-    if n != nc:
+    s = np.asarray(s, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    single = s.ndim == 2
+    if single:
+        s, rhs = s[None], rhs[None]
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError("S must be square")
-    if rhs.shape[0] != n:
-        raise ValueError(f"RHS must have {n} rows, got {rhs.shape[0]}")
+    if rhs.ndim != 3 or rhs.shape[:2] != s.shape[:2]:
+        raise ValueError(f"RHS must have {s.shape[1]} rows per system, got shape {rhs.shape}")
+    if not (np.isfinite(s).all() and np.isfinite(rhs).all()):
+        raise ValueError("S and RHS must be finite")
 
+    count, n = s.shape[:2]
     snorm = fro(s)
-    if snorm == 0.0:
-        return None
     threshold = pivot_rtol * snorm
-
+    ok = snorm > 0.0
+    systems = np.arange(count)
     u = s.copy()
-    y = rhs.astype(complex, copy=True)
+    y = rhs.copy()
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(u[col:, col])))
-        if abs(u[piv, col]) < threshold:
-            return None
-        if piv != col:
-            u[[col, piv]] = u[[piv, col]]
-            y[[col, piv]] = y[[piv, col]]
-        factors = u[col + 1 :, col] / u[col, col]
-        u[col + 1 :, col:] -= np.outer(factors, u[col, col:])
-        y[col + 1 :] -= np.outer(factors, y[col])
+        piv = col + np.argmax(np.abs(u[:, col:, col]), axis=1)
+        ok &= np.abs(u[systems, piv, col]) >= threshold
+        swap = np.flatnonzero(piv != col)
+        if len(swap):
+            for m in (u, y):
+                top = m[swap, col].copy()
+                m[swap, col] = m[swap, piv[swap]]
+                m[swap, piv[swap]] = top
+        # Flagged systems divide by 1 instead of their tiny pivot.
+        pivot = np.where(ok, u[:, col, col], 1.0)
+        factors = u[:, col + 1 :, col] / pivot[:, None]
+        u[:, col + 1 :, col:] -= factors[:, :, None] * u[:, None, col, col:]
+        y[:, col + 1 :] -= factors[:, :, None] * y[:, None, col]
 
+    diag = np.where(ok[:, None], np.diagonal(u, axis1=1, axis2=2), 1.0)
     x = np.zeros_like(y)
     for row in range(n - 1, -1, -1):
-        x[row] = (y[row] - u[row, row + 1 :] @ x[row + 1 :]) / u[row, row]
-    return x
+        tail = np.matmul(u[:, row : row + 1, row + 1 :], x[:, row + 1 :])[:, 0]
+        x[:, row] = (y[:, row] - tail) / diag[:, row, None]
+    x[~ok] = 0.0
+    if single:
+        return x[0] if ok[0] else None
+    return x, ok
 
 
 @dataclass(frozen=True)

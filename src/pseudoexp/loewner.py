@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError
-from .family import ExponentRecipe, PiBlock
+from .family import ExponentRecipe, PiBlock, pointwise
 from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector
 
 __all__ = [
@@ -119,56 +119,44 @@ def build_loewner(
     return LoewnerScenario(d_diag=d_diag, lambda1=lam1, lambda2=lam2)
 
 
-def eval_loewner(
-    sc: LoewnerScenario, point: Sequence[float]
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(Psi, L) at the point, or None where Lambda_1 is singular."""
-    lam1 = sc.lambda1.value(point)
-    psi = linalg.solve_pivoted(lam1, sc.lambda2.value(point))
-    if psi is None:
-        return None
-    ell = linalg.solve_pivoted(lam1, sc.d_mat @ lam1)
-    if ell is None:
-        return None
-    return psi, ell
+@pointwise(masked=True)
+def eval_loewner(sc: LoewnerScenario, points: np.ndarray):
+    """(Psi, L) at stacked points, with the mask of points where Lambda_1
+    is not singular."""
+    lam1 = sc.lambda1.value(points)
+    psi, ok = linalg.solve_pivoted(lam1, sc.lambda2.value(points))
+    ell, _ = linalg.solve_pivoted(lam1, sc.d_mat @ lam1)
+    return (psi, ell), ok
 
 
-def spectrum_deviation(sc: LoewnerScenario, point: Sequence[float]) -> Optional[float]:
-    """Max distance between the spectrum of L and the diagonal of D."""
-    fields = eval_loewner(sc, point)
-    if fields is None:
-        return None
-    _, ell = fields
-    got = linalg.eigenvalues(ell).values
+@pointwise(masked=True)
+def spectrum_deviation(sc: LoewnerScenario, points: np.ndarray):
+    """Max distance between the spectrum of L and the diagonal of D, at
+    stacked points, with the mask."""
+    (_, ell), ok = eval_loewner(sc, points)
+    # np.sort orders complex values by real part, then imaginary part.
+    got = np.sort(np.linalg.eigvals(ell), axis=-1)
     want = np.sort(sc.d_diag).astype(complex)
-    return float(np.max(np.abs(got - want)))
+    return np.max(np.abs(got - want), axis=-1), ok
 
 
-def _analytic_residuals(sc: LoewnerScenario, point) -> Optional[tuple[dict, float, np.ndarray]]:
-    """Analytic channels, local scale and L at the point, or None if masked."""
-    lam1 = sc.lambda1.value(point)
-    lam2 = sc.lambda2.value(point)
-    psi = linalg.solve_pivoted(lam1, lam2)
-    if psi is None:
-        return None
+def _analytic_residuals(sc: LoewnerScenario, points: np.ndarray):
+    """Analytic channels, local scale and L at stacked points, with the mask."""
+    lam1, lam1_x, lam1_y = sc.lambda1.value(points, [(), (0,), (1,)])
+    lam2, lam2_x, lam2_y = sc.lambda2.value(points, [(), (0,), (1,)])
+    psi, ok = linalg.solve_pivoted(lam1, lam2)
     d_mat = sc.d_mat
-    ell = linalg.solve_pivoted(lam1, d_mat @ lam1)
-    lam1_x = sc.lambda1.value(point, (0,))
-    lam1_y = sc.lambda1.value(point, (1,))
-    lam2_x = sc.lambda2.value(point, (0,))
-    lam2_y = sc.lambda2.value(point, (1,))
-    psi_x = linalg.solve_pivoted(lam1, lam2_x - lam1_x @ psi)
-    psi_y = linalg.solve_pivoted(lam1, lam2_y - lam1_y @ psi)
-    if ell is None or psi_x is None or psi_y is None:
-        return None
+    ell, _ = linalg.solve_pivoted(lam1, d_mat @ lam1)
+    psi_x, _ = linalg.solve_pivoted(lam1, lam2_x - lam1_x @ psi)
+    psi_y, _ = linalg.solve_pivoted(lam1, lam2_y - lam1_y @ psi)
     res = psi_x - ell @ psi_y
-    scale = max(linalg.fro(psi), linalg.fro(ell))
+    scale = np.maximum(linalg.fro(psi), linalg.fro(ell))
     channels = {
         "system_analytic": linalg.fro(res),
         "premise_1": linalg.fro(lam1_x - d_mat @ lam1_y),
         "premise_2": linalg.fro(lam2_x - d_mat @ lam2_y),
     }
-    return channels, scale, ell
+    return (channels, scale, ell), ok
 
 
 def evaluator(
@@ -180,18 +168,15 @@ def evaluator(
     def psi_fn(p):
         return linalg.solve_pivoted(sc.lambda1.value(p), sc.lambda2.value(p))
 
-    def evaluate(point):
-        analytic = _analytic_residuals(sc, point)
-        if analytic is None:
-            return None
-        channels, scale, ell = analytic
+    @pointwise(masked=True, arg=0)
+    def evaluate(points):
+        (channels, scale, ell), ok = _analytic_residuals(sc, points)
         if with_fd:
-            psi_x = verify.fd_partial(psi_fn, point, 0, order=1, h=h, accuracy=accuracy)
-            psi_y = verify.fd_partial(psi_fn, point, 1, order=1, h=h, accuracy=accuracy)
-            if psi_x is None or psi_y is None:
-                return None
+            psi_x, ok_x = verify.fd_partial(psi_fn, points, 0, order=1, h=h, accuracy=accuracy)
+            psi_y, ok_y = verify.fd_partial(psi_fn, points, 1, order=1, h=h, accuracy=accuracy)
+            ok = ok & ok_x & ok_y
             channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
-        return channels, scale
+        return (channels, scale), ok
 
     return evaluate
 
@@ -207,7 +192,7 @@ def random_scenario(
     default grid (rejection sampling on its smallest singular value).
     """
     n = m if n is None else n
-    grid_pts = default_grid().points()
+    grid = default_grid().stacked()
     for _ in range(60):
         d = np.sort(rng.uniform(-1.2, 1.2, m))
         if m > 1 and np.min(np.diff(d)) < 0.3:
@@ -219,9 +204,7 @@ def random_scenario(
         chat1 = rng.normal(size=(m * width1, m)) + 1j * rng.normal(size=(m * width1, m))
         chat2 = rng.normal(size=(m * width2, n)) + 1j * rng.normal(size=(m * width2, n))
         sc = build_loewner(d, a1, a2, c1, c2, chat1, chat2)
-        smin = min(
-            float(np.linalg.svd(sc.lambda1.value(pt), compute_uv=False)[-1]) for pt in grid_pts
-        )
+        smin = np.linalg.svd(sc.lambda1.value(grid), compute_uv=False)[:, -1].min()
         if smin >= 0.25:
             return sc
     raise ConstructionError("failed to draw a well-conditioned scenario")
@@ -240,7 +223,7 @@ SPEC = FamilySpec(
     fd_channel="system_fd",
     evaluator=evaluator,
     fields=("solution", "coefficient"),
-    point_fields=eval_loewner,
+    field_values=eval_loewner,
     builders={
         "general": Builder(
             "build_loewner",

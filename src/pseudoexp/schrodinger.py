@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_complex, parse_matrix, parse_real
 
@@ -119,16 +119,18 @@ def build_schrodinger(
     return SchrodingerScenario(node=node, c=c, s0=s0, family=family)
 
 
-def potential(sc: SchrodingerScenario, point: Sequence[float]) -> Optional[np.ndarray]:
-    """q = -2 dQ/dx, Hermitian; None where S is singular."""
-    qx = sc.family.q_deriv(point, (0,))
-    if qx is None:
-        return None
-    return -2.0 * qx
+@pointwise(masked=True)
+def potential(sc: SchrodingerScenario, points: np.ndarray):
+    """q = -2 dQ/dx, Hermitian, at stacked points, with the mask of points
+    where S is not singular."""
+    qx, ok = sc.family.q_deriv(points, (0,))
+    return -2.0 * qx, ok
 
 
-def wave(sc: SchrodingerScenario, point: Sequence[float]) -> Optional[np.ndarray]:
-    return sc.family.w(point)
+@pointwise(masked=True)
+def wave(sc: SchrodingerScenario, points: np.ndarray):
+    """W = Pi* S^-1 at stacked points, with the mask."""
+    return sc.family.w(points)
 
 
 def evaluator(
@@ -143,28 +145,23 @@ def evaluator(
     the x-derivative inside the potential, by stencils on the raw fields.
     """
 
-    wave_fn, q_fn = sc.family.w, sc.family.q
+    fam = sc.family
 
-    def evaluate(point):
-        w = sc.family.w(point)
-        if w is None:
-            return None
-        wt = sc.family.w_deriv(point, (1,))
-        wxx = sc.family.w_deriv(point, (0, 0))
-        qt = potential(sc, point)
-        if wt is None or wxx is None or qt is None:
-            return None
+    @pointwise(masked=True, arg=0)
+    def evaluate(points):
+        (w, wt, wxx), ok = fam.w_deriv(points, [(), (1,), (0, 0)])
+        qt, ok_q = potential(sc, points)
         res = 1j * wt + wxx - qt @ w
-        scale = max(linalg.fro(w), linalg.fro(qt))
+        scale = np.maximum(linalg.fro(w), linalg.fro(qt))
         channels = {"wave_analytic": linalg.fro(res)}
+        ok = ok & ok_q
         if with_fd:
-            wt_fd = verify.fd_partial(wave_fn, point, 1, order=1, h=h, accuracy=accuracy)
-            wxx_fd = verify.fd_partial(wave_fn, point, 0, order=2, h=h, accuracy=accuracy)
-            qx_fd = verify.fd_partial(q_fn, point, 0, order=1, h=h, accuracy=accuracy)
-            if wt_fd is None or wxx_fd is None or qx_fd is None:
-                return None
+            wt_fd, ok_t = verify.fd_partial(fam.w, points, 1, order=1, h=h, accuracy=accuracy)
+            wxx_fd, ok_xx = verify.fd_partial(fam.w, points, 0, order=2, h=h, accuracy=accuracy)
+            qx_fd, ok_x = verify.fd_partial(fam.q, points, 0, order=1, h=h, accuracy=accuracy)
+            ok = ok & ok_t & ok_xx & ok_x
             channels["wave_fd"] = linalg.fro(1j * wt_fd + wxx_fd - (-2.0 * qx_fd) @ w)
-        return channels, scale
+        return (channels, scale), ok
 
     return evaluate
 
@@ -359,19 +356,16 @@ def check_positivity(
     s0_ok = bool(s0_eigs.min() >= -1e-12 * (1.0 + linalg.fro(sc.s0)))
     r_eigs = np.linalg.eigvalsh((sc.node.r_mat + linalg.adjoint(sc.node.r_mat)) / 2)
 
-    min_eig = np.inf
-    count = 0
-    for pt in points:
-        s = sc.family.s(tuple(pt))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(s).min()))
-        count += 1
+    stacked = np.asarray(points, dtype=float).reshape(-1, len(VAR_NAMES))
+    count = len(stacked)
+    min_eig = np.linalg.eigvalsh(sc.family.s(stacked)).min() if count else np.nan
     return PositivityReport(
         spectrum_margin=float(margin),
         full_range=bool(full),
         rank_c_full=bool(rank_c),
         s0_psd=s0_ok,
         r_min_eigenvalue=float(r_eigs.min()),
-        min_s_eigenvalue=float(min_eig if count else np.nan),
+        min_s_eigenvalue=float(min_eig),
         points_checked=count,
     )
 
@@ -409,7 +403,7 @@ SPEC = FamilySpec(
     fd_channel="wave_fd",
     evaluator=evaluator,
     fields=("potential", "wave"),
-    point_fields=all_fields(potential, wave),
+    field_values=all_fields(potential, wave),
     builders={
         "general": Builder(
             "build_schrodinger",

@@ -120,12 +120,13 @@ RANDOM = Builder("random_scenario", seeded=True)
 
 
 def all_fields(*field_fns: Callable) -> Callable:
-    """Per-point function returning every single-field value, or None where
-    any of them is None (S singular)."""
+    """Function of stacked points returning every field's values and the
+    mask of points where all of them are defined (S not singular)."""
 
-    def fields(sc, point):
-        values = tuple(fn(sc, point) for fn in field_fns)
-        return None if any(v is None for v in values) else values
+    def fields(sc, points):
+        results = [fn(sc, points) for fn in field_fns]
+        ok = np.logical_and.reduce([good for _, good in results])
+        return tuple(values for values, _ in results), ok
 
     return fields
 
@@ -141,13 +142,14 @@ class FamilySpec:
     # ``fd_channel`` has a tolerance.
     tolerances: Mapping[str, float]
     fd_channel: str
-    # ``evaluator(sc, h=, accuracy=, with_fd=)`` returns the sweep's per-point
-    # residual function.
+    # ``evaluator(sc, h=, accuracy=, with_fd=)`` returns the sweep's residual
+    # function of stacked points (see ``verify.sweep``).
     evaluator: Callable
-    # Output field names, and the per-point function returning their values
-    # in this order, or None where S is singular.
+    # Output field names, and the function of (scenario, stacked points)
+    # returning their values in this order with the mask of non-singular
+    # points.
     fields: tuple[str, ...]
-    point_fields: Callable
+    field_values: Callable
     builders: Mapping[str, Builder]
 
     def grid_function(self) -> Callable[..., verify.Grid]:

@@ -2,16 +2,18 @@
 
 The FD path never sees the analytic derivative formulas: it evaluates the
 constructed fields at stencil points and differences them, so agreement
-between the two paths certifies both. A point where a field evaluator
-returns None (singular S) is masked; masking is contagious through any
-stencil that touches such a point.
+between the two paths certifies both. Fields and residuals are evaluated
+for a whole grid at once: functions take an (N, nvars) array of points and
+return stacked values paired with an (N,) mask, False at points where S is
+singular. Masking is contagious through any stencil that touches such a
+point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -85,14 +87,16 @@ class Grid:
     def size(self) -> int:
         return math.prod(ax.count for ax in self.axes) if self.axes else 0
 
-    def points(self) -> list[tuple[float, ...]]:
-        """All grid points, last axis varying fastest."""
+    def stacked(self) -> np.ndarray:
+        """All grid points as an (N, nvars) array, last axis varying fastest."""
         if not self.axes:
-            return []
-        coords = [ax.points() for ax in self.axes]
-        mesh = np.meshgrid(*coords, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=-1)
-        return [tuple(float(v) for v in row) for row in flat]
+            return np.zeros((0, 0))
+        mesh = np.meshgrid(*(ax.points() for ax in self.axes), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def points(self) -> list[tuple[float, ...]]:
+        """All grid points as tuples, in the order of ``stacked``."""
+        return [tuple(float(v) for v in row) for row in self.stacked()]
 
     def spec(self) -> list[dict]:
         return [
@@ -101,20 +105,23 @@ class Grid:
         ]
 
 
-MatrixFn = Callable[[tuple[float, ...]], Optional[np.ndarray]]
+# Stacked points (N, nvars) -> (values with a leading axis of N, (N,) mask).
+MaskedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def fd_partial(
-    f: MatrixFn,
-    point: Sequence[float],
+    f: MaskedFn,
+    points: np.ndarray,
     variable: int,
     order: int = 1,
     h: float = DEFAULT_H,
     accuracy: int = DEFAULT_ACCURACY,
-) -> Optional[np.ndarray]:
-    """Central-difference d^order f / d variable^order at ``point``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference d^order f / d variable^order at stacked points.
 
-    Returns None as soon as any stencil evaluation returns None.
+    Calls ``f`` once per stencil offset, on all points shifted by it.
+    Returns the derivatives and their mask: a point is masked when any of
+    its stencil points is.
     """
     try:
         stencil = _STENCILS[(order, accuracy)]
@@ -122,35 +129,35 @@ def fd_partial(
         raise ValueError(f"no stencil for order={order}, accuracy={accuracy}") from None
     if not h > 0:
         raise ValueError("step h must be positive")
+    points = np.asarray(points, dtype=float)
     total = None
-    base = list(float(v) for v in point)
+    ok = np.ones(len(points), dtype=bool)
     for offset, coeff in stencil:
-        shifted = list(base)
-        shifted[variable] = base[variable] + offset * h
-        value = f(tuple(shifted))
-        if value is None:
-            return None
+        shifted = points.copy()
+        shifted[:, variable] = points[:, variable] + offset * h
+        value, good = f(shifted)
+        ok &= good
         contrib = coeff * np.asarray(value, dtype=complex)
         total = contrib if total is None else total + contrib
-    return total / h**order
+    return total / h**order, ok
 
 
 def fd_mixed(
-    f: MatrixFn,
-    point: Sequence[float],
+    f: MaskedFn,
+    points: np.ndarray,
     var_a: int,
     var_b: int,
     h: float = DEFAULT_H,
     accuracy: int = DEFAULT_ACCURACY,
-) -> Optional[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mixed second partial by nesting first-derivative stencils."""
     if var_a == var_b:
-        return fd_partial(f, point, var_a, order=2, h=h, accuracy=accuracy)
+        return fd_partial(f, points, var_a, order=2, h=h, accuracy=accuracy)
 
-    def inner(p: tuple[float, ...]) -> Optional[np.ndarray]:
+    def inner(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return fd_partial(f, p, var_b, order=1, h=h, accuracy=accuracy)
 
-    return fd_partial(inner, point, var_a, order=1, h=h, accuracy=accuracy)
+    return fd_partial(inner, points, var_a, order=1, h=h, accuracy=accuracy)
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,9 @@ class ResidualReport:
         }
 
 
-EvaluateFn = Callable[[tuple[float, ...]], Optional[tuple[Mapping[str, float], float]]]
+# Stacked points (N, nvars) -> ((absolute residual per channel, local field
+# scale), mask), each an (N,) array or a scalar for all points.
+EvaluateFn = Callable[[np.ndarray], tuple[tuple[Mapping[str, np.ndarray], np.ndarray], np.ndarray]]
 
 
 def sweep(
@@ -224,37 +233,43 @@ def sweep(
     tolerances: Union[float, Mapping[str, float]],
     meta: Optional[Mapping[str, object]] = None,
 ) -> ResidualReport:
-    """Evaluate per-point residual channels over the grid, serially, and aggregate.
+    """Evaluate the residual channels at every grid point in one call, and
+    aggregate.
 
-    ``evaluate`` returns None at singular (masked) points, otherwise a pair
-    (absolute residual per channel, local field scale). Relative residuals
-    divide by 1 + max field scale over the non-masked grid.
+    ``evaluate`` takes the stacked grid points and returns the absolute
+    residual per channel and the local field scale at each point, with the
+    mask: False at singular points, which are masked. Relative residuals
+    divide by 1 + max field scale over the non-masked grid. A non-finite
+    residual at a point that is not masked raises ValueError.
     """
-    points = grid.points()
-    if not points:
+    stacked = grid.stacked()
+    if not len(stacked):
         raise ValueError("grid has no points")
+    count = len(stacked)
+    (residuals, scales), ok = evaluate(stacked)
+    ok = np.broadcast_to(np.asarray(ok, dtype=bool), (count,))
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), (count,))
+    columns = {str(k): np.broadcast_to(np.asarray(v, dtype=float), (count,)) for k, v in residuals.items()}
+    points = grid.points()
+    for name, values in columns.items():
+        bad = np.flatnonzero(ok & ~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"non-finite residual in channel {name!r} at {points[bad[0]]}")
 
-    samples: list[PointSample] = []
-    field_scale = 0.0
-    for pt in points:
-        res = evaluate(pt)
-        if res is None:
-            samples.append(PointSample(pt, {}, 0.0, True))
-            continue
-        residuals, scale = res
-        clean = {str(k): float(v) for k, v in residuals.items()}
-        for name, value in clean.items():
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite residual in channel {name!r} at {pt}")
-        samples.append(PointSample(pt, clean, float(scale), False))
-        field_scale = max(field_scale, float(scale))
+    samples = tuple(
+        PointSample(pt, {name: float(values[i]) for name, values in columns.items()}, float(scales[i]), False)
+        if ok[i]
+        else PointSample(pt, {}, 0.0, True)
+        for i, pt in enumerate(points)
+    )
+    field_scale = max(0.0, float(scales[ok].max())) if ok.any() else 0.0
 
     denom = 1.0 + field_scale
-    names = sorted({name for s in samples if not s.masked for name in s.residuals})
+    names = sorted(columns) if ok.any() else []
     channels = []
     all_passed = True
     for name in names:
-        values = [s.residuals[name] for s in samples if not s.masked and name in s.residuals]
+        values = columns[name][ok].tolist()
         max_abs = max(values)
         max_rel = max_abs / denom
         mean_rel = (sum(values) / len(values)) / denom
@@ -264,16 +279,16 @@ def sweep(
             tol = float(tolerances[name])
         else:
             tol = float(tolerances)
-        ok = max_rel <= tol
-        all_passed = all_passed and ok
-        channels.append(ChannelSummary(name, max_abs, max_rel, mean_rel, tol, ok))
+        ok_channel = max_rel <= tol
+        all_passed = all_passed and ok_channel
+        channels.append(ChannelSummary(name, max_abs, max_rel, mean_rel, tol, ok_channel))
 
-    masked_count = sum(1 for s in samples if s.masked)
-    if masked_count == len(samples):
+    masked_count = int(count - ok.sum())
+    if masked_count == count:
         all_passed = False  # nothing was verifiable
     return ResidualReport(
         grid=grid,
-        samples=tuple(samples),
+        samples=samples,
         field_scale=field_scale,
         channels=tuple(channels),
         masked_count=masked_count,

@@ -264,16 +264,17 @@ class TestOverwriteGuard:
 class TestDump:
     def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
         # The CLI reaches the builder and verify_scenario through module
-        # attributes at call time, and evaluates each point's fields once
-        # for both dump formats.
+        # attributes at call time, and evaluates the fields of every grid
+        # point once, in one batched call, for both dump formats.
         monkeypatch.chdir(tmp_path)
-        in_sweep, q_points, used = [False], [], []
-        q, verify_scenario, build = family.PseudoExpFamily.q, dsi.verify_scenario, dsi.build_rational_dsi
+        in_sweep, q_calls, used = [False], [], []
+        q_deriv = family.PseudoExpFamily.q_deriv
+        verify_scenario, build = dsi.verify_scenario, dsi.build_rational_dsi
 
-        def counting_q(self, point):
+        def counting_q_deriv(self, points, derivs):
             if not in_sweep[0]:
-                q_points.append(tuple(point))
-            return q(self, point)
+                q_calls.append(np.array(points))
+            return q_deriv(self, points, derivs)
 
         def sweeping(*args, **kwargs):
             used.append("verify")
@@ -287,19 +288,22 @@ class TestDump:
             used.append("build")
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(family.PseudoExpFamily, "q", counting_q)
+        monkeypatch.setattr(family.PseudoExpFamily, "q_deriv", counting_q_deriv)
         monkeypatch.setattr(dsi, "verify_scenario", sweeping)
         monkeypatch.setattr(dsi, "build_rational_dsi", building)
+        grid = [{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in ("x", "t", "y")]
+        points = [(x, t, y) for x in (-0.2, 0.2) for t in (-0.2, 0.2) for y in (-0.2, 0.2)]
         for fmt in ("csv", "json"):
-            q_points.clear()
+            q_calls.clear()
             used.clear()
             path = write_config(
                 tmp_path,
                 family="dsi",
                 params={"builder": "rational"},
-                grid=[{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in ("x", "t", "y")],
+                grid=grid,
                 output={"fields": ["q2", "u"], "format": fmt, "path": f"out.{fmt}"},
             )
             assert cli.main(["run", str(path)]) == 0
             assert used == ["build", "verify"]
-            assert len(q_points) == len(set(q_points)) == 8
+            assert len(q_calls) == 1
+            assert [tuple(p) for p in q_calls[0]] == points

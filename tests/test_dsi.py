@@ -165,14 +165,16 @@ class TestFields:
             assert np.array_equal(q1, np.zeros((1, 1)))
 
         # q2 then depends on x - y only: FD residual of (q2)_x + (q2)_y.
-        def q2_fn(p):
-            return dsi.fields_uq(sc, p)[2]
+        def q2_fn(points):
+            (_, _, q2), ok = dsi.fields_uq(sc, points)
+            return q2, ok
 
-        pt = (0.2, 0.1, -0.3)
-        q2x = verify.fd_partial(q2_fn, pt, 0)
-        q2y = verify.fd_partial(q2_fn, pt, 2)
-        scale = linalg.fro(q2_fn(pt))
-        assert linalg.fro(q2x + q2y) <= 1e-8 * (1.0 + scale)
+        pts = np.array([(0.2, 0.1, -0.3)])
+        q2x, ok_x = verify.fd_partial(q2_fn, pts, 0)
+        q2y, ok_y = verify.fd_partial(q2_fn, pts, 2)
+        assert ok_x.all() and ok_y.all()
+        scale = linalg.fro(q2_fn(pts)[0])
+        assert (linalg.fro(q2x + q2y) <= 1e-8 * (1.0 + scale)).all()
 
     def test_zero_chat2_kills_u_and_q2(self):
         sc = dsi.build_dsi(

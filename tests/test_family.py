@@ -97,13 +97,29 @@ class TestExponentRecipe:
             ExponentRecipe([])
 
     def test_exp_value_matches_mat_exp(self):
+        # exp(M) is the product of one exponential per variable, which
+        # matches the exponential of the sum to roundoff.
         a = np.array([[1j, 1.0], [0.0, 1j]], dtype=complex)
         rec = schrodinger_recipe(a)
         pt = (0.4, 0.9)
         expect = linalg.mat_exp(rec.exponent(pt))
-        assert np.array_equal(rec.exp_value(pt), expect)
-        # second lookup is served from the cache, bitwise identical
-        assert rec.exp_value(pt) is rec.exp_value(pt)
+        assert linalg.fro(rec.exp_value(pt) - expect) <= 1e-13 * linalg.fro(expect)
+        # a stack of points gives each point's value, bitwise
+        stack = np.array([(0.4, 0.9), (-0.3, 0.9), (0.4, 0.2)])
+        assert np.array_equal(rec.exp_value(stack)[0], rec.exp_value(pt))
+
+    def test_one_exponential_per_coordinate_value(self, monkeypatch):
+        rec = schrodinger_recipe(np.array([[1j, 1.0], [0.0, 1j]], dtype=complex))
+        mat_exp, calls = linalg.mat_exp, []
+
+        def counting(m):
+            calls.append(m)
+            return mat_exp(m)
+
+        monkeypatch.setattr(linalg, "mat_exp", counting)
+        grid = np.array([(x, t) for x in (0.1, 0.2, 0.3) for t in (-0.5, 0.5)])
+        assert rec.exp_value(grid).shape == (6, 2, 2)
+        assert len(calls) == 3 + 2
 
 
 class TestPiBlock:

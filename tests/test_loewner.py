@@ -170,21 +170,27 @@ class TestResiduals:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "solve_pivoted", counting)
-        pt = (0.21, -0.35)
-        assert evaluator(generic_scenario, with_fd=False)(pt) is not None
-        assert len(calls) == 4  # Psi, L, Psi_x, Psi_y
+        pts = np.array([(0.21, -0.35), (0.1, 0.3), (-0.4, 0.05)])
+        _, ok = evaluator(generic_scenario, with_fd=False)(pts)
+        assert ok.all()
+        # Psi, L, Psi_x, Psi_y: one batched solve each for all points
+        assert len(calls) == 4
+        assert all(len(s) == len(pts) for s, _ in calls)
         calls.clear()
-        channels, _ = evaluator(generic_scenario, with_fd=True)(pt)
-        # plus one Psi solve per stencil point: four per axis at accuracy 4
+        (channels, _), ok = evaluator(generic_scenario, with_fd=True)(pts)
+        assert ok.all()
+        # plus one batched Psi solve per stencil offset: four per axis at
+        # accuracy 4
         assert len(calls) == 12
         monkeypatch.setattr(linalg, "solve_pivoted", solve)
 
-        def psi(p):
-            return eval_loewner(generic_scenario, p)[0]
+        def psi(points):
+            (psi, _), ok = eval_loewner(generic_scenario, points)
+            return psi, ok
 
-        ell = eval_loewner(generic_scenario, pt)[1]
-        fd = verify.fd_partial(psi, pt, 0) - ell @ verify.fd_partial(psi, pt, 1)
-        assert channels["system_fd"] == linalg.fro(fd)
+        (_, ell), _ = eval_loewner(generic_scenario, pts)
+        fd = verify.fd_partial(psi, pts, 0)[0] - ell @ verify.fd_partial(psi, pts, 1)[0]
+        assert np.array_equal(channels["system_fd"], linalg.fro(fd))
 
 
 class TestRandomScenario:
