@@ -126,35 +126,39 @@ def _grid_from_config(config: Mapping, var_names: Sequence[str]) -> verify.Grid:
     return verify.Grid(tuple(axes))
 
 
+def _finite_positive(value, name: str) -> float:
+    # NaN fails both comparisons; the upper bound also rejects infinity and
+    # integers too large to convert to float.
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if not (number and 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _verify_settings(config: Mapping, spec) -> tuple[float, int, dict]:
     vcfg = config.get("verify", {})
     if not isinstance(vcfg, dict):
         raise ConfigError("verify must be an object")
     _take(vcfg, "verify", {"h", "accuracy", "tolerance"})
-    h = vcfg.get("h", verify.DEFAULT_H)
-    if isinstance(h, bool) or not isinstance(h, (int, float)) or h <= 0:
-        raise ConfigError("verify.h must be a positive number")
+    h = _finite_positive(vcfg.get("h", verify.DEFAULT_H), "verify.h")
     accuracy = vcfg.get("accuracy", verify.DEFAULT_ACCURACY)
     if isinstance(accuracy, bool) or accuracy not in (2, 4):
         raise ConfigError("verify.accuracy must be 2 or 4")
     tolerances = dict(spec.tolerances)
     tol_cfg = vcfg.get("tolerance")
     if tol_cfg is not None:
-        if isinstance(tol_cfg, (int, float)) and not isinstance(tol_cfg, bool):
-            tolerances = {name: float(tol_cfg) for name in tolerances}
-        elif isinstance(tol_cfg, dict):
+        if isinstance(tol_cfg, dict):
             unknown = set(tol_cfg) - set(tolerances)
             if unknown:
                 raise ConfigError(
                     f"unknown residual channels for {spec.name}: {sorted(unknown)}"
                 )
             for name, value in tol_cfg.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    raise ConfigError("tolerances must be positive numbers")
-                tolerances[name] = float(value)
+                tolerances[name] = _finite_positive(value, f"verify.tolerance.{name}")
         else:
-            raise ConfigError("verify.tolerance must be a number or an object")
-    return float(h), int(accuracy), tolerances
+            value = _finite_positive(tol_cfg, "verify.tolerance")
+            tolerances = {name: value for name in tolerances}
+    return h, int(accuracy), tolerances
 
 
 def _output_settings(config: Mapping, family_fields: Sequence[str]) -> tuple[list[str], str, str]:

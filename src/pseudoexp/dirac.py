@@ -204,7 +204,6 @@ def evaluator(
 
     fam = sc.family
 
-    @pointwise(masked=True, arg=0)
     def evaluate(points):
         (w, wt, wy), ok = fam.w_deriv(points, [(), (0,), (1,)])
         v, ok_v = potential(sc, points)

@@ -199,7 +199,6 @@ def evaluator(
     and the two first-order coupling equations.
     """
 
-    @pointwise(masked=True, arg=0)
     def evaluate(points):
         # The stencil offsets along x and y are shared by five channel
         # functions; the fields at each shifted stack are computed once.

@@ -23,9 +23,11 @@ quantity comes back stacked along a leading axis of length N (Pi as
 form Q = Pi* S^-1 Pi, the row function W = Pi* S^-1 and their derivatives)
 comes paired with a boolean mask ``ok`` of shape (N,): False where S is
 numerically singular, and the values there are zero. Grid evaluators mask
-such points. Given one point (a flat sequence of nvars coordinates)
-instead, each function runs on a stack of one and returns that point's
-value, or None where S is singular (``pointwise``).
+such points. The methods of ``PseudoExpFamily`` and the families' public
+field functions also take one point (a flat sequence of nvars
+coordinates): they run on a stack of one and return that point's value,
+or None where S is singular (``pointwise``). Everything else takes stacks
+only.
 """
 
 from __future__ import annotations
@@ -51,25 +53,26 @@ MAX_DERIV_ORDER = 2
 COMMUTATOR_RTOL = 1e-10
 
 
-def pointwise(masked: bool, arg: int = 1) -> Callable:
-    """Let a function of stacked points also take a single point.
+def pointwise(masked: bool) -> Callable:
+    """Let a public function of stacked points also take a single point.
 
-    The decorated function takes an (N, nvars) array as its positional
-    argument number ``arg`` and returns arrays with a leading axis of
-    length N (possibly in tuples or dicts), paired with an (N,) mask when
-    ``masked``. Given one point instead, it runs on a stack of one and
-    returns that point's entries, or None where the mask is False.
+    The decorated function takes an (N, nvars) array as its second
+    positional argument (after the scenario or ``self``) and returns arrays
+    with a leading axis of length N (possibly in tuples or dicts), paired
+    with an (N,) mask when ``masked``. Given one point instead, it runs on a
+    stack of one and returns that point's entries, or None where the mask
+    is False.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            points = np.asarray(args[arg], dtype=float)
+        def wrapper(owner, points, *args, **kwargs):
+            points = np.asarray(points, dtype=float)
             if points.ndim == 2:
-                return fn(*args[:arg], points, *args[arg + 1 :], **kwargs)
+                return fn(owner, points, *args, **kwargs)
             if points.ndim != 1:
                 raise ValueError(f"expected one point or an (N, nvars) stack, got shape {points.shape}")
-            out = fn(*args[:arg], points[None], *args[arg + 1 :], **kwargs)
+            out = fn(owner, points[None], *args, **kwargs)
             if masked:
                 out, ok = out
                 if not ok[0]:
@@ -116,7 +119,6 @@ class ExponentRecipe:
             m = m + v * g
         return m
 
-    @pointwise(masked=False)
     def exp_value(self, points: np.ndarray) -> np.ndarray:
         """exp(M) at stacked points as the product of exp(x G_v) over the
         variables, with one ``mat_exp`` per distinct coordinate value."""
@@ -163,7 +165,6 @@ class PiBlock:
         if self.c.shape[1] != self.recipe.dim or self.chat.shape[0] != self.recipe.dim:
             raise ValueError("C and chat must conform with the recipe dimension")
 
-    @pointwise(masked=False)
     def value(self, points: np.ndarray, derivs=()):
         """The block or its derivatives at stacked points, for one
         multi-index or a list of them."""
@@ -195,7 +196,6 @@ class STerm:
         if self.c.shape[1] != self.recipe.dim or self.r.shape != (self.recipe.dim, self.recipe.dim):
             raise ValueError("C and R must conform with the recipe dimension")
 
-    @pointwise(masked=False)
     def core(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv of exp(M) R exp(M)* at stacked points."""
         return self._core(self.recipe.exp_value(points), _canonical(deriv))
@@ -216,7 +216,6 @@ class STerm:
             + g0 @ linalg.adjoint(left)
         )
 
-    @pointwise(masked=False)
     def value(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
         return self.at(self.recipe.exp_value(points), _canonical(deriv))
 

@@ -38,7 +38,6 @@ __all__ = [
     "synthesize_chat",
     "diagonal_block_r",
     "xi",
-    "xi_deriv",
     "system_residual",
     "premise_residuals",
     "evaluator",
@@ -186,12 +185,6 @@ def xi(sc: GnoeScenario, points: np.ndarray):
     return q @ sc.b_mat, ok
 
 
-@pointwise(masked=True)
-def xi_deriv(sc: GnoeScenario, points: np.ndarray, var: int):
-    qd, ok = sc.family.q_deriv(points, (var,))
-    return qd @ sc.b_mat, ok
-
-
 def _xi_and_first_derivs(sc: GnoeScenario, points: np.ndarray):
     """(xi, xi_x, xi_t, xi_y) and the mask, from one assembly of S and one
     solve."""
@@ -247,7 +240,6 @@ def evaluator(
     def xi_fn(p):
         return xi(sc, p)
 
-    @pointwise(masked=True, arg=0)
     def evaluate(points):
         (f, f_x, f_t, f_y), ok = _xi_and_first_derivs(sc, points)
         scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])

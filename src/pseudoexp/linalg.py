@@ -1,15 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
-complex128, or stacks of them along a leading axis (``adjoint``, ``fro``
-and ``solve_pivoted`` act on the last two axes). Desk scale only: matrix
-dimensions are small (a few dozen at most), so the solvers favour
-transparency over asymptotics.
+complex128, or stacks of them along a leading axis (``adjoint`` and ``fro``
+act on the last two axes; ``solve_pivoted`` takes stacks only). Desk scale
+only: matrix dimensions are small (a few dozen at most), so the solvers
+favour transparency over asymptotics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +20,7 @@ __all__ = [
     "mat_exp",
     "solve_sylvester",
     "solve_pivoted",
-    "eigenvalues",
-    "SpectrumInfo",
-    "pivoted_rank",
+    "numerical_rank",
     "full_range_rank",
 ]
 
@@ -32,10 +28,8 @@ __all__ = [
 SYLVESTER_TOL = 1e-10
 # A pivot below PIVOT_RTOL * ||S||_F marks the system singular.
 PIVOT_RTOL = 1e-12
-# Column-pivoting rank threshold, relative to the largest column norm.
+# Rank threshold, relative to the largest singular value.
 RANK_RTOL = 1e-10
-
-_EIG_MAX_DIM = 32
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -196,20 +190,17 @@ def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
 def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL):
     """Solve S X = RHS by Gaussian elimination with partial pivoting.
 
-    A stack of systems, S of shape (N, n, n) and RHS (N, n, k), returns
-    (X, ok). The elimination runs over the n columns, each step acting on
-    all N systems; ok[i] is False where system i met a pivot of magnitude
-    below ``pivot_rtol * ||S_i||_F`` (the singular flag), and X[i] is zero
-    there. One system, S of shape (n, n), returns X, or None where it is
-    singular; callers mask such points rather than handle an exception.
+    Takes a stack of systems, S of shape (N, n, n) and RHS (N, n, k), and
+    returns (X, ok). The elimination runs over the n columns, each step
+    acting on all N systems; ok[i] is False where system i met a pivot of
+    magnitude below ``pivot_rtol * ||S_i||_F`` (the singular flag), and
+    X[i] is zero there. Callers mask such points rather than handle an
+    exception; one system is a stack of one.
     """
     s = np.asarray(s, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    single = s.ndim == 2
-    if single:
-        s, rhs = s[None], rhs[None]
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise ValueError("S must be square")
+        raise ValueError(f"S must be an (N, n, n) stack of square systems, got shape {s.shape}")
     if rhs.ndim != 3 or rhs.shape[:2] != s.shape[:2]:
         raise ValueError(f"RHS must have {s.shape[1]} rows per system, got shape {rhs.shape}")
     if not (np.isfinite(s).all() and np.isfinite(rhs).all()):
@@ -243,82 +234,15 @@ def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL):
         tail = np.matmul(u[:, row : row + 1, row + 1 :], x[:, row + 1 :])[:, 0]
         x[:, row] = (y[:, row] - tail) / diag[:, row, None]
     x[~ok] = 0.0
-    if single:
-        return x[0] if ok[0] else None
     return x, ok
 
 
-@dataclass(frozen=True)
-class SpectrumInfo:
-    """Eigenvalues with a computable quality certificate.
-
-    ``residual_bound`` is the largest ||(A - lambda I) v|| over the witness
-    directions v used to certify each eigenvalue.
-    """
-
-    values: np.ndarray
-    method: str
-    residual_bound: float
-
-
-def _sorted_values(w: np.ndarray) -> np.ndarray:
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
-
-
-def eigenvalues(a) -> SpectrumInfo:
-    """Eigenvalues of a square matrix (dimension <= 32), with certificate.
-
-    Shifted QR (LAPACK ``eig``). Spectra are for hypothesis checks only, so
-    moderate accuracy on defective matrices is acceptable and reflected in
-    the residual bound.
-    """
-    a = as_matrix(a, "A")
-    n, nc = a.shape
-    if n != nc:
-        raise ValueError("eigenvalues needs a square matrix")
-    if n > _EIG_MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported maximum {_EIG_MAX_DIM}")
-    if n == 0:
-        return SpectrumInfo(np.zeros(0, dtype=complex), "qr", 0.0)
-
-    w, v = np.linalg.eig(a)
-    residual = 0.0
-    for i in range(n):
-        vec = v[:, i]
-        nrm = np.linalg.norm(vec)
-        if nrm > 0:
-            residual = max(residual, float(np.linalg.norm(a @ vec - w[i] * vec) / nrm))
-    return SpectrumInfo(_sorted_values(w), "qr", residual)
-
-
-def pivoted_rank(m, rel_tol: float = RANK_RTOL) -> int:
-    """Numerical rank via column-pivoted Gram-Schmidt.
-
-    Columns whose remaining norm stays above ``rel_tol`` times the largest
-    initial column norm count toward the rank.
-    """
+def numerical_rank(m) -> int:
+    """Number of singular values above ``RANK_RTOL`` times the largest."""
     m = as_matrix(m, "matrix")
     if m.size == 0:
         return 0
-    cols = m.copy()
-    norms = np.linalg.norm(cols, axis=0)
-    threshold = rel_tol * float(norms.max())
-    rank = 0
-    alive = np.ones(cols.shape[1], dtype=bool)
-    for _ in range(min(cols.shape)):
-        norms = np.linalg.norm(cols, axis=0)
-        norms[~alive] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= threshold:
-            break
-        rank += 1
-        q = cols[:, j] / norms[j]
-        alive[j] = False
-        coeffs = q.conj() @ cols
-        coeffs[~alive] = 0.0
-        cols -= np.outer(q, coeffs)
-    return rank
+    return int(np.linalg.matrix_rank(m, tol=RANK_RTOL * np.linalg.norm(m, 2)))
 
 
 def full_range_rank(a, chat) -> int:
@@ -338,4 +262,4 @@ def full_range_rank(a, chat) -> int:
     for _ in range(n):
         blocks.append(p)
         p = a @ p
-    return pivoted_rank(np.hstack(blocks))
+    return numerical_rank(np.hstack(blocks))

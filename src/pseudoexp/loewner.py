@@ -119,13 +119,19 @@ def build_loewner(
     return LoewnerScenario(d_diag=d_diag, lambda1=lam1, lambda2=lam2)
 
 
+def _solve_shared(lam1: np.ndarray, *rhs: np.ndarray):
+    """Lambda_1^-1 B for each right-hand side B, from one elimination of
+    their columns side by side, with the mask."""
+    x, ok = linalg.solve_pivoted(lam1, np.concatenate(rhs, axis=-1))
+    return np.split(x, np.cumsum([b.shape[-1] for b in rhs[:-1]]), axis=-1), ok
+
+
 @pointwise(masked=True)
 def eval_loewner(sc: LoewnerScenario, points: np.ndarray):
     """(Psi, L) at stacked points, with the mask of points where Lambda_1
     is not singular."""
     lam1 = sc.lambda1.value(points)
-    psi, ok = linalg.solve_pivoted(lam1, sc.lambda2.value(points))
-    ell, _ = linalg.solve_pivoted(lam1, sc.d_mat @ lam1)
+    (psi, ell), ok = _solve_shared(lam1, sc.lambda2.value(points), sc.d_mat @ lam1)
     return (psi, ell), ok
 
 
@@ -144,11 +150,9 @@ def _analytic_residuals(sc: LoewnerScenario, points: np.ndarray):
     """Analytic channels, local scale and L at stacked points, with the mask."""
     lam1, lam1_x, lam1_y = sc.lambda1.value(points, [(), (0,), (1,)])
     lam2, lam2_x, lam2_y = sc.lambda2.value(points, [(), (0,), (1,)])
-    psi, ok = linalg.solve_pivoted(lam1, lam2)
     d_mat = sc.d_mat
-    ell, _ = linalg.solve_pivoted(lam1, d_mat @ lam1)
-    psi_x, _ = linalg.solve_pivoted(lam1, lam2_x - lam1_x @ psi)
-    psi_y, _ = linalg.solve_pivoted(lam1, lam2_y - lam1_y @ psi)
+    (psi, ell), ok = _solve_shared(lam1, lam2, d_mat @ lam1)
+    (psi_x, psi_y), _ = _solve_shared(lam1, lam2_x - lam1_x @ psi, lam2_y - lam1_y @ psi)
     res = psi_x - ell @ psi_y
     scale = np.maximum(linalg.fro(psi), linalg.fro(ell))
     channels = {
@@ -168,7 +172,6 @@ def evaluator(
     def psi_fn(p):
         return linalg.solve_pivoted(sc.lambda1.value(p), sc.lambda2.value(p))
 
-    @pointwise(masked=True, arg=0)
     def evaluate(points):
         (channels, scale, ell), ok = _analytic_residuals(sc, points)
         if with_fd:

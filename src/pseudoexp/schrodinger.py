@@ -147,7 +147,6 @@ def evaluator(
 
     fam = sc.family
 
-    @pointwise(masked=True, arg=0)
     def evaluate(points):
         (w, wt, wxx), ok = fam.w_deriv(points, [(), (1,), (0, 0)])
         qt, ok_q = potential(sc, points)
@@ -348,10 +347,9 @@ def check_positivity(
     and S = S0 + C E R E* C* stays positive definite at every point.
     """
     a = sc.node.a_mats[0]
-    spectrum = linalg.eigenvalues(a)
-    margin = min(v.real for v in spectrum.values)
+    margin = np.linalg.eigvals(a).real.min()
     full = linalg.full_range_rank(a, sc.node.chat) == sc.node.dim
-    rank_c = linalg.pivoted_rank(sc.c) == sc.c.shape[0]
+    rank_c = linalg.numerical_rank(sc.c) == sc.c.shape[0]
     s0_eigs = np.linalg.eigvalsh((sc.s0 + linalg.adjoint(sc.s0)) / 2)
     s0_ok = bool(s0_eigs.min() >= -1e-12 * (1.0 + linalg.fro(sc.s0)))
     r_eigs = np.linalg.eigvalsh((sc.node.r_mat + linalg.adjoint(sc.node.r_mat)) / 2)
@@ -386,7 +384,7 @@ def random_scenario(rng: np.random.Generator, max_dim: int = 3) -> SchrodingerSc
         c = np.eye(n_dim, dtype=complex) + 0.1 * (
             rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         )
-        if linalg.pivoted_rank(c) != n_dim:
+        if linalg.numerical_rank(c) != n_dim:
             continue
         g = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         s0 = np.eye(n_dim, dtype=complex) + 0.1 * (g @ linalg.adjoint(g))

@@ -22,7 +22,6 @@ __all__ = [
     "Grid",
     "fd_partial",
     "fd_mixed",
-    "PointSample",
     "ChannelSummary",
     "ResidualReport",
     "sweep",
@@ -161,14 +160,6 @@ def fd_mixed(
 
 
 @dataclass(frozen=True)
-class PointSample:
-    point: tuple[float, ...]
-    residuals: Mapping[str, float]
-    scale: float
-    masked: bool
-
-
-@dataclass(frozen=True)
 class ChannelSummary:
     name: str
     max_absolute: float
@@ -180,8 +171,16 @@ class ChannelSummary:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """A sweep's outcome. Per grid point, in grid order: ``points``
+    (N, nvars), the mask ``ok`` (N,), the local field ``scales`` (N,) and
+    one absolute residual column (N,) per channel in ``residuals``; the
+    entries at masked points carry no meaning."""
+
     grid: Grid
-    samples: tuple[PointSample, ...]
+    points: np.ndarray
+    ok: np.ndarray
+    scales: np.ndarray
+    residuals: Mapping[str, np.ndarray]
     field_scale: float
     channels: tuple[ChannelSummary, ...]
     masked_count: int
@@ -190,14 +189,14 @@ class ResidualReport:
 
     @property
     def total_points(self) -> int:
-        return len(self.samples)
+        return len(self.points)
 
     @property
     def max_relative(self) -> float:
         return max((c.max_relative for c in self.channels), default=0.0)
 
     def masked_points(self) -> list[tuple[float, ...]]:
-        return [s.point for s in self.samples if s.masked]
+        return [tuple(p) for p in self.points[~self.ok].tolist()]
 
     def to_dict(self) -> dict:
         return {
@@ -250,18 +249,11 @@ def sweep(
     ok = np.broadcast_to(np.asarray(ok, dtype=bool), (count,))
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (count,))
     columns = {str(k): np.broadcast_to(np.asarray(v, dtype=float), (count,)) for k, v in residuals.items()}
-    points = grid.points()
     for name, values in columns.items():
         bad = np.flatnonzero(ok & ~np.isfinite(values))
         if len(bad):
-            raise ValueError(f"non-finite residual in channel {name!r} at {points[bad[0]]}")
+            raise ValueError(f"non-finite residual in channel {name!r} at {tuple(stacked[bad[0]].tolist())}")
 
-    samples = tuple(
-        PointSample(pt, {name: float(values[i]) for name, values in columns.items()}, float(scales[i]), False)
-        if ok[i]
-        else PointSample(pt, {}, 0.0, True)
-        for i, pt in enumerate(points)
-    )
     field_scale = max(0.0, float(scales[ok].max())) if ok.any() else 0.0
 
     denom = 1.0 + field_scale
@@ -272,6 +264,7 @@ def sweep(
         values = columns[name][ok].tolist()
         max_abs = max(values)
         max_rel = max_abs / denom
+        # Python's sequential sum, so reports keep their exact bytes.
         mean_rel = (sum(values) / len(values)) / denom
         if isinstance(tolerances, Mapping):
             if name not in tolerances:
@@ -288,7 +281,10 @@ def sweep(
         all_passed = False  # nothing was verifiable
     return ResidualReport(
         grid=grid,
-        samples=samples,
+        points=stacked,
+        ok=ok,
+        scales=scales,
+        residuals=columns,
         field_scale=field_scale,
         channels=tuple(channels),
         masked_count=masked_count,

@@ -104,19 +104,20 @@ def test_criterion_2_closed_form_equivalence():
         for draw in (draw_singular_line, draw_rational, draw_nonsingular):
             for _ in range(100):
                 sc, closed = draw()
+                # The same draws as 100 scalar (x, t) pairs, as one stack.
+                points = rng.uniform(-1, 1, size=(100, 2))
+                pipe_q, ok_q = schrodinger.potential(sc, points)
+                pipe_w, ok_w = schrodinger.wave(sc, points)
                 compared = 0
-                for _ in range(100):
-                    pt = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+                for k, pt in enumerate(points.tolist()):
                     cf_q = closed.potential(pt)
                     cf_w = closed.wave(pt)
-                    pipe_q = schrodinger.potential(sc, pt)
-                    pipe_w = schrodinger.wave(sc, pt)
-                    if any(v is None for v in (cf_q, cf_w, pipe_q, pipe_w)):
+                    if cf_q is None or cf_w is None or not (ok_q[k] and ok_w[k]):
                         continue
                     scale_q = 1.0 + linalg.fro(cf_q)
                     scale_w = 1.0 + linalg.fro(cf_w)
-                    assert linalg.fro(pipe_q - cf_q) <= 1e-9 * scale_q, closed.name
-                    assert linalg.fro(pipe_w - cf_w) <= 1e-9 * scale_w, closed.name
+                    assert linalg.fro(pipe_q[k] - cf_q) <= 1e-9 * scale_q, closed.name
+                    assert linalg.fro(pipe_w[k] - cf_w) <= 1e-9 * scale_w, closed.name
                     compared += 1
                 assert compared >= 90, (closed.name, compared)
 

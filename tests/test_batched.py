@@ -90,13 +90,13 @@ def test_stack_of_points_matches_each_point(label, sc, module):
     evaluate = module.evaluator(sc)
     (channels, scales), ok = evaluate(points)
     values, fields_ok = module.SPEC.field_values(sc, points)
-    for k, p in enumerate(points):
-        one = evaluate(p)
-        assert (one is None) == (not ok[k])
-        if one is not None:
-            assert one[1] == scales[k]
-            for name, value in one[0].items():
-                assert value == pytest.approx(channels[name][k], rel=1e-12, abs=1e-300), name
+    for k in range(len(points)):
+        (one, one_scale), one_ok = evaluate(points[k : k + 1])
+        assert one_ok[0] == ok[k]
+        if one_ok[0]:
+            assert one_scale[0] == scales[k]
+            for name, value in one.items():
+                assert value[0] == pytest.approx(channels[name][k], rel=1e-12, abs=1e-300), name
         one_fields = module.SPEC.field_values(sc, points[k : k + 1])
         assert one_fields[1][0] == fields_ok[k]
         for stacked, single in zip(values, one_fields[0]):

@@ -220,6 +220,41 @@ class TestSchemaErrors:
         capsys.readouterr()
 
 
+class TestVerifySettings:
+    # Zero, negative, NaN and infinite values, and an integer beyond the
+    # float range, exit 2 before the sweep and write nothing.
+    @pytest.mark.parametrize(
+        "verify_cfg",
+        [
+            {"tolerance": 0},
+            {"tolerance": -1},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"tolerance": {"wave_fd": -1}},
+            {"tolerance": {"wave_fd": float("nan")}},
+            {"tolerance": {"wave_fd": float("inf")}},
+            {"h": float("inf")},
+            {"h": float("nan")},
+            {"h": 0},
+            pytest.param({"h": 10**400}, id="{'h': 10**400}"),
+        ],
+        ids=repr,
+    )
+    def test_non_positive_or_non_finite_exits_two(self, tmp_path, monkeypatch, capsys, verify_cfg):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, verify=verify_cfg)
+        assert cli.main(["run", str(path)]) == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_positive_scalar_tolerance_applies_to_every_channel(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, verify={"tolerance": 1e-3})
+        assert cli.main(["run", str(path)]) == 0
+        report = json.loads((tmp_path / "out.report.json").read_text())["report"]
+        assert {c["tolerance"] for c in report["channels"].values()} == {1e-3}
+
+
 class TestConstructionErrors:
     def test_unsolvable_identity_exits_three(self, tmp_path):
         # Purely imaginary spectrum: the Lyapunov identity is inconsistent.

@@ -131,13 +131,15 @@ class TestResiduals:
 
     def test_analytic_residual_small_off_line(self, frozen):
         ev = evaluator(frozen, with_fd=False)
-        channels, scale = ev((0.35, 0.15))
-        assert channels["wave_analytic"] <= 1e-9 * (1.0 + scale)
+        (channels, scale), ok = ev(np.array([(0.35, 0.15)]))
+        assert ok[0]
+        assert channels["wave_analytic"][0] <= 1e-9 * (1.0 + scale[0])
 
     def test_fd_residual_tracks_analytic(self, frozen):
         ev = evaluator(frozen, with_fd=True)
-        channels, scale = ev((0.35, 0.15))
-        assert channels["wave_fd"] <= 1e-6 * (1.0 + scale)
+        (channels, scale), ok = ev(np.array([(0.35, 0.15)]))
+        assert ok[0]
+        assert channels["wave_fd"][0] <= 1e-6 * (1.0 + scale[0])
 
     def test_potential_continuous_off_singular_line(self, frozen):
         # No jumps: refining the sampling step 10x shrinks the largest

@@ -237,11 +237,12 @@ class TestResiduals:
         assert {c.name for c in report.channels} == {"premise_x", "premise_t"}
 
     def test_rational_evolution_fd(self, rational):
-        # Evolution and couplings for the rational fields, single point.
+        # Evolution and couplings for the rational fields, a stack of one point.
         evaluate = dsi.evaluator(rational)
-        channels, scale = evaluate((0.1, 0.2, -0.3))
+        (channels, scale), ok = evaluate(np.array([(0.1, 0.2, -0.3)]))
+        assert ok[0]
         for name in ("evolution_fd", "coupling1_fd", "coupling2_fd"):
-            assert channels[name] <= 1e-6 * (1.0 + scale), (name, channels[name])
+            assert channels[name][0] <= 1e-6 * (1.0 + scale[0]), (name, channels[name])
 
     def test_default_grid_properties(self):
         grid = dsi.default_grid()

@@ -76,11 +76,11 @@ class TestExponentRecipe:
         c = np.array([[1.0, 2.0]], dtype=complex)
         chat = np.array([[0.5], [1.0]], dtype=complex)
         blk = PiBlock(c, rec, chat)
-        pt = (0.3, -0.6)
-        e = rec.exp_value(pt)
+        pt = np.array([(0.3, -0.6)])
+        e = rec.exp_value(pt)[0]
         for deriv, factor in (((0, 0), gx @ gx), ((0, 1), gx @ gt), ((1, 1), gt @ gt)):
-            np.testing.assert_allclose(blk.value(pt, deriv), c @ factor @ e @ chat, rtol=1e-14)
-        np.testing.assert_allclose(blk.value(pt, (1,)), c @ gt @ e @ chat, rtol=1e-14)
+            np.testing.assert_allclose(blk.value(pt, deriv)[0], c @ factor @ e @ chat, rtol=1e-14)
+        np.testing.assert_allclose(blk.value(pt, (1,))[0], c @ gt @ e @ chat, rtol=1e-14)
 
     def test_rejects_noncommuting(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -103,10 +103,10 @@ class TestExponentRecipe:
         rec = schrodinger_recipe(a)
         pt = (0.4, 0.9)
         expect = linalg.mat_exp(rec.exponent(pt))
-        assert linalg.fro(rec.exp_value(pt) - expect) <= 1e-13 * linalg.fro(expect)
+        assert linalg.fro(rec.exp_value(np.array([pt]))[0] - expect) <= 1e-13 * linalg.fro(expect)
         # a stack of points gives each point's value, bitwise
         stack = np.array([(0.4, 0.9), (-0.3, 0.9), (0.4, 0.2)])
-        assert np.array_equal(rec.exp_value(stack)[0], rec.exp_value(pt))
+        assert np.array_equal(rec.exp_value(stack)[0], rec.exp_value(stack[:1])[0])
 
     def test_one_exponential_per_coordinate_value(self, monkeypatch):
         rec = schrodinger_recipe(np.array([[1j, 1.0], [0.0, 1j]], dtype=complex))
@@ -195,15 +195,19 @@ class TestSTerm:
         r = np.eye(1, dtype=complex)
         plus = STerm(1.0, c, rec, r)
         minus = STerm(-1.0, c, rec, r)
-        pt = (0.3,)
+        pt = np.array([(0.3,)])
         assert np.array_equal(plus.value(pt), -minus.value(pt))
 
     def test_core_derivative_against_fd(self, singular_line_family):
         term = singular_line_family.s_terms[0]
         pt = (0.2, -0.1)
         h = 1e-6
-        fd = (term.core((pt[0], pt[1] + h)) - term.core((pt[0], pt[1] - h))) / (2 * h)
-        an = term.core(pt, (1,))
+
+        def core(point, deriv=()):
+            return term.core(np.array([point]), deriv)[0]
+
+        fd = (core((pt[0], pt[1] + h)) - core((pt[0], pt[1] - h))) / (2 * h)
+        an = core(pt, (1,))
         assert linalg.fro(an - fd) <= 1e-7 * (1.0 + linalg.fro(an))
 
 

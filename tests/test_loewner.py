@@ -132,20 +132,20 @@ class TestEval:
 class TestResiduals:
     def test_scalar_residual_roundoff(self, scalar_scenario):
         ev = evaluator(scalar_scenario, with_fd=False)
-        channels, scale = ev((0.3, -0.4))
-        assert channels["system_analytic"] <= 1e-12 * (1.0 + scale)
+        (channels, scale), ok = ev(np.array([(0.3, -0.4)]))
+        assert ok[0]
+        assert channels["system_analytic"][0] <= 1e-12 * (1.0 + scale[0])
 
     def test_premise_identity_roundoff(self, generic_scenario):
         ev = evaluator(generic_scenario, with_fd=False)
         rng = np.random.default_rng(51)
         for _ in range(5):
             pt = tuple(rng.uniform(-0.8, 0.8, 2))
-            out = ev(pt)
-            if out is None:
+            (channels, scale), ok = ev(np.array([pt]))
+            if not ok[0]:
                 continue
-            channels, scale = out
-            assert channels["premise_1"] <= 1e-11 * (1.0 + scale)
-            assert channels["premise_2"] <= 1e-11 * (1.0 + scale)
+            assert channels["premise_1"][0] <= 1e-11 * (1.0 + scale[0])
+            assert channels["premise_2"][0] <= 1e-11 * (1.0 + scale[0])
 
     def test_random_scenarios_sweep(self):
         rng = np.random.default_rng(60)
@@ -157,10 +157,9 @@ class TestResiduals:
 
     def test_fd_channel(self, generic_scenario):
         ev = evaluator(generic_scenario, with_fd=True)
-        out = ev((0.21, -0.35))
-        assert out is not None
-        channels, scale = out
-        assert channels["system_fd"] <= 1e-6 * (1.0 + scale)
+        (channels, scale), ok = ev(np.array([(0.21, -0.35)]))
+        assert ok[0]
+        assert channels["system_fd"][0] <= 1e-6 * (1.0 + scale[0])
 
     def test_fd_stencils_solve_only_for_psi(self, generic_scenario, monkeypatch):
         solve, calls = linalg.solve_pivoted, []
@@ -173,15 +172,15 @@ class TestResiduals:
         pts = np.array([(0.21, -0.35), (0.1, 0.3), (-0.4, 0.05)])
         _, ok = evaluator(generic_scenario, with_fd=False)(pts)
         assert ok.all()
-        # Psi, L, Psi_x, Psi_y: one batched solve each for all points
-        assert len(calls) == 4
+        # Psi and L share one batched solve, Psi_x and Psi_y another
+        assert len(calls) == 2
         assert all(len(s) == len(pts) for s, _ in calls)
         calls.clear()
         (channels, _), ok = evaluator(generic_scenario, with_fd=True)(pts)
         assert ok.all()
         # plus one batched Psi solve per stencil offset: four per axis at
         # accuracy 4
-        assert len(calls) == 12
+        assert len(calls) == 10
         monkeypatch.setattr(linalg, "solve_pivoted", solve)
 
         def psi(points):
@@ -196,8 +195,8 @@ class TestResiduals:
 class TestRandomScenario:
     def test_well_conditioned_on_grid(self):
         sc = random_scenario(np.random.default_rng(70))
-        for pt in default_grid(count=5).points():
-            smin = np.linalg.svd(sc.lambda1.value(pt), compute_uv=False)[-1]
+        lam1 = sc.lambda1.value(default_grid(count=5).stacked())
+        for smin in np.linalg.svd(lam1, compute_uv=False)[:, -1]:
             assert smin >= 0.25
 
     def test_custom_shapes(self):
@@ -214,9 +213,7 @@ class TestRandomScenario:
         # the FD channel on the default grid.
         for s in (32, 48, 144, 179, 211, 223, 236):
             sc = random_scenario(np.random.default_rng(np.random.SeedSequence([s, 1])))
-            smin = min(
-                np.linalg.svd(sc.lambda1.value(pt), compute_uv=False)[-1]
-                for pt in default_grid().points()
-            )
+            lam1 = sc.lambda1.value(default_grid().stacked())
+            smin = np.linalg.svd(lam1, compute_uv=False)[:, -1].min()
             assert smin >= 0.25, s
             assert verify_scenario(sc).passed, s

@@ -157,9 +157,10 @@ class TestResiduals:
     def test_fd_channel_small(self):
         sc, _ = build_nonsingular_example(1.0, 1.0)
         ev = evaluator(sc, with_fd=True)
-        channels, scale = ev((0.3, -0.2))
-        assert channels["wave_analytic"] <= 1e-9 * (1.0 + scale)
-        assert channels["wave_fd"] <= 1e-6 * (1.0 + scale)
+        (channels, scale), ok = ev(np.array([(0.3, -0.2)]))
+        assert ok[0]
+        assert channels["wave_analytic"][0] <= 1e-9 * (1.0 + scale[0])
+        assert channels["wave_fd"][0] <= 1e-6 * (1.0 + scale[0])
 
 
 class TestPositivityChecker:
@@ -172,6 +173,20 @@ class TestPositivityChecker:
         rep = check_positivity(sc, random_points(rng, 10))
         assert rep.spectrum_margin > 0
         assert not rep.full_range
+        assert not rep.hypotheses_met
+
+    def test_rank_deficient_c_detected(self):
+        # C = [[1, 1], [1, 1]] has rank 1; every other hypothesis holds
+        a = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        chat = np.array([[0.0], [1.0]], dtype=complex)
+        c = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        sc = build_schrodinger(a, chat, c=c)
+        rng = np.random.default_rng(19)
+        rep = check_positivity(sc, random_points(rng, 10))
+        assert rep.spectrum_margin > 0
+        assert rep.full_range
+        assert rep.s0_psd
+        assert not rep.rank_c_full
         assert not rep.hypotheses_met
 
     def test_random_scenarios_positive(self):

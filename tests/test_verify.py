@@ -215,6 +215,9 @@ class TestSweep:
         assert rep.masked_count == 1
         assert rep.masked_points() == [(0.0,)]
         assert rep.passed
+        # the report keeps the sweep's columns in grid order
+        np.testing.assert_array_equal(rep.points, _grid1d().stacked())
+        assert rep.ok.tolist() == [False, True, True, True, True]
 
     def test_fully_masked_grid_fails(self):
         rep = sweep(_grid1d(), const({}, 0.0, ok=False), 1e-9)
@@ -253,6 +256,8 @@ class TestSweep:
         rep = sweep(_grid1d(), ev, 10.0)
         assert rep.channels[0].mean_relative == pytest.approx(3.0)
         assert rep.channels[0].max_absolute == 5.0
+        assert rep.residuals["eq"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert rep.scales.tolist() == [0.0] * 5
 
     def test_non_finite_residual_rejected(self):
         with pytest.raises(ValueError, match="finite"):
