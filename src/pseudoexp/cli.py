@@ -120,6 +120,9 @@ def _grid_from_config(config: Mapping, var_names: Sequence[str]) -> verify.Grid:
         for v in (lo, hi):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError("grid min/max must be numbers")
+            # Also rejects NaN, infinities and integers too large for a float.
+            if not -sys.float_info.max <= v <= sys.float_info.max:
+                raise ConfigError(f"grid min/max must be finite, got {v!r}")
         if not lo < hi:
             raise ConfigError("grid min must be strictly below max")
         axes.append(verify.Axis(expected, float(lo), float(hi), count))

@@ -210,8 +210,8 @@ def evaluator(
         channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
         ok = ok & ok_v
         if with_fd:
-            wt_fd, ok_t = verify.fd_partial(fam.w, points, 0, order=1, h=h, accuracy=accuracy)
-            wy_fd, ok_y = verify.fd_partial(fam.w, points, 1, order=1, h=h, accuracy=accuracy)
+            (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 0, (1,), h=h, accuracy=accuracy)
+            (wy_fd,), ok_y = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
             ok = ok & ok_t & ok_y
             channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
         return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), ok

@@ -197,47 +197,28 @@ def evaluator(
 ):
     """Channels: analytic premises; FD residuals of the evolution equation
     and the two first-order coupling equations.
+
+    The FD channels difference one tuple field (u, q1, q2, u* u, u u*):
+    one call along x for orders 1 and 2, one along y for orders 1 and 2,
+    and one along t for order 1.
     """
 
+    def fd_fields(p):
+        (u, q1, q2), ok = fields_uq(sc, p)
+        return (u, q1, q2, linalg.adjoint(u) @ u, u @ linalg.adjoint(u)), ok
+
     def evaluate(points):
-        # The stencil offsets along x and y are shared by five channel
-        # functions; the fields at each shifted stack are computed once.
-        cache: dict = {}
-
-        def fields_at(p):
-            key = p.tobytes()
-            if key not in cache:
-                cache[key] = fields_uq(sc, p)
-            return cache[key]
-
-        def of_fields(fn):
-            def value(p):
-                (u, q1, q2), ok = fields_at(p)
-                return fn(u, q1, q2), ok
-
-            return value
-
-        u_fn = of_fields(lambda u, q1, q2: u)
-        q1_fn = of_fields(lambda u, q1, q2: q1)
-        q2_fn = of_fields(lambda u, q1, q2: q2)
-        uu_star = of_fields(lambda u, q1, q2: u @ linalg.adjoint(u))
-        u_star_u = of_fields(lambda u, q1, q2: linalg.adjoint(u) @ u)
-
-        (u, q1, q2), ok = fields_at(points)
+        (u, q1, q2), ok = fields_uq(sc, points)
         channels, scale = premise_residuals(sc, points)
         scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
         if with_fd:
-            def d(fn, var, order=1):
-                return verify.fd_partial(fn, points, var, order=order, h=h, accuracy=accuracy)
-
-            parts = (
-                d(u_fn, T), d(u_fn, X, 2), d(u_fn, Y, 2),
-                d(q1_fn, X), d(q1_fn, Y), d(q2_fn, X), d(q2_fn, Y),
-                d(u_star_u, X), d(u_star_u, Y), d(uu_star, X), d(uu_star, Y),
-            )
-            ok = np.logical_and.reduce([ok] + [good for _, good in parts])
-            u_t, u_xx, u_yy, q1_x, q1_y, q2_x, q2_y, usu_x, usu_y, uus_x, uus_y = (v for v, _ in parts)
-            evolution = 1j * u_t - 0.5 * (u_xx + u_yy) - (u @ q1 - q2 @ u)
+            (d_x, d_xx), ok_x = verify.fd_partial(fd_fields, points, X, (1, 2), h=h, accuracy=accuracy)
+            (d_y, d_yy), ok_y = verify.fd_partial(fd_fields, points, Y, (1, 2), h=h, accuracy=accuracy)
+            (d_t,), ok_t = verify.fd_partial(fd_fields, points, T, (1,), h=h, accuracy=accuracy)
+            ok = ok & ok_x & ok_y & ok_t
+            _, q1_x, q2_x, usu_x, uus_x = d_x
+            _, q1_y, q2_y, usu_y, uus_y = d_y
+            evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
             coupling1 = q1_x - q1_y - 0.5 * (usu_y + usu_x)
             coupling2 = q2_x + q2_y - 0.5 * (uus_y - uus_x)
             channels["evolution_fd"] = linalg.fro(evolution)

@@ -251,9 +251,9 @@ def evaluator(
             linalg.adjoint(f) - sc.b_mat @ f @ sc.b_mat
         )
         if with_fd:
-            g_x, ok_x = verify.fd_partial(xi_fn, points, X, order=1, h=h, accuracy=accuracy)
-            g_t, ok_t = verify.fd_partial(xi_fn, points, T, order=1, h=h, accuracy=accuracy)
-            g_y, ok_y = verify.fd_partial(xi_fn, points, Y, order=1, h=h, accuracy=accuracy)
+            (g_x,), ok_x = verify.fd_partial(xi_fn, points, X, (1,), h=h, accuracy=accuracy)
+            (g_t,), ok_t = verify.fd_partial(xi_fn, points, T, (1,), h=h, accuracy=accuracy)
+            (g_y,), ok_y = verify.fd_partial(xi_fn, points, Y, (1,), h=h, accuracy=accuracy)
             ok = ok & ok_x & ok_t & ok_y
             channels["system_fd"] = linalg.fro(
                 _system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y)

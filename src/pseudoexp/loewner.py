@@ -175,8 +175,8 @@ def evaluator(
     def evaluate(points):
         (channels, scale, ell), ok = _analytic_residuals(sc, points)
         if with_fd:
-            psi_x, ok_x = verify.fd_partial(psi_fn, points, 0, order=1, h=h, accuracy=accuracy)
-            psi_y, ok_y = verify.fd_partial(psi_fn, points, 1, order=1, h=h, accuracy=accuracy)
+            (psi_x,), ok_x = verify.fd_partial(psi_fn, points, 0, (1,), h=h, accuracy=accuracy)
+            (psi_y,), ok_y = verify.fd_partial(psi_fn, points, 1, (1,), h=h, accuracy=accuracy)
             ok = ok & ok_x & ok_y
             channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
         return (channels, scale), ok

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import ConstructionError
 
-__all__ = ["SMultinode", "ValidationReport", "solve_for_R", "build_block_diag_R"]
+__all__ = ["SMultinode", "ValidationReport", "solve_for_R"]
 
 # Identity and commutator residuals are accepted below this, relative to scale.
 IDENTITY_RTOL = 1e-10
@@ -43,28 +43,6 @@ def solve_for_R(a, rhs) -> np.ndarray:
         raise ValueError("rhs must be Hermitian")
     rhs = (rhs + linalg.adjoint(rhs)) / 2.0
     return linalg.solve_sylvester(a, linalg.adjoint(a), rhs)
-
-
-def build_block_diag_R(a, columns, signs) -> np.ndarray:
-    """Block-diagonal R from per-block rank-one identities.
-
-    Block k solves A R_kk + R_kk A* = signs[k] * columns[k] columns[k]*,
-    where every block shares the same square matrix ``a``.
-    """
-    a = linalg.as_matrix(a, "A")
-    if len(columns) != len(signs):
-        raise ValueError("columns and signs must have equal length")
-    blocks = []
-    for col, sign in zip(columns, signs):
-        col = np.asarray(col, dtype=complex).reshape(-1, 1)
-        if col.shape[0] != a.shape[0]:
-            raise ValueError("column length must match the block dimension")
-        blocks.append(solve_for_R(a, float(sign) * (col @ col.conj().T)))
-    n = a.shape[0]
-    out = np.zeros((n * len(blocks), n * len(blocks)), dtype=complex)
-    for k, blk in enumerate(blocks):
-        out[k * n : (k + 1) * n, k * n : (k + 1) * n] = blk
-    return out
 
 
 @dataclass

@@ -6,14 +6,15 @@ between the two paths certifies both. Fields and residuals are evaluated
 for a whole grid at once: functions take an (N, nvars) array of points and
 return stacked values paired with an (N,) mask, False at points where S is
 singular. Masking is contagious through any stencil that touches such a
-point.
+point. ``fd_partial`` evaluates the field once per differenced variable,
+on the shifted copies of the grid for all its stencil offsets at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "Axis",
     "Grid",
     "fd_partial",
-    "fd_mixed",
     "ChannelSummary",
     "ResidualReport",
     "sweep",
@@ -112,51 +112,56 @@ def fd_partial(
     f: MaskedFn,
     points: np.ndarray,
     variable: int,
-    order: int = 1,
+    orders: Sequence[int],
     h: float = DEFAULT_H,
     accuracy: int = DEFAULT_ACCURACY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference d^order f / d variable^order at stacked points.
+) -> tuple[tuple, np.ndarray]:
+    """Central-difference d^k f / d variable^k at stacked points, for each
+    order k in ``orders``.
 
-    Calls ``f`` once per stencil offset, on all points shifted by it.
-    Returns the derivatives and their mask: a point is masked when any of
-    its stencil points is.
+    Calls ``f`` once, on the copies of ``points`` shifted by each offset of
+    the requested stencils, stacked end to end in increasing offset order.
+    ``f`` may return an array or a tuple of arrays; each derivative comes
+    back in the same form. Returns the derivatives, one per order, and
+    their mask: a point is masked when any of its stencil points is.
     """
-    try:
-        stencil = _STENCILS[(order, accuracy)]
-    except KeyError:
-        raise ValueError(f"no stencil for order={order}, accuracy={accuracy}") from None
+    stencils = []
+    for order in orders:
+        try:
+            stencils.append(_STENCILS[(order, accuracy)])
+        except KeyError:
+            raise ValueError(f"no stencil for order={order}, accuracy={accuracy}") from None
     if not h > 0:
         raise ValueError("step h must be positive")
     points = np.asarray(points, dtype=float)
-    total = None
-    ok = np.ones(len(points), dtype=bool)
-    for offset, coeff in stencil:
-        shifted = points.copy()
-        shifted[:, variable] = points[:, variable] + offset * h
-        value, good = f(shifted)
-        ok &= good
-        contrib = coeff * np.asarray(value, dtype=complex)
-        total = contrib if total is None else total + contrib
-    return total / h**order, ok
+    count = len(points)
+    offsets = sorted({offset for stencil in stencils for offset, _ in stencil})
+    shifted = np.tile(points, (len(offsets), 1))
+    shifted[:, variable] = np.concatenate([points[:, variable] + offset * h for offset in offsets])
+    values, good = f(shifted)
+    ok = np.asarray(good, dtype=bool).reshape(len(offsets), count).all(axis=0)
+    start = {offset: k * count for k, offset in enumerate(offsets)}
+
+    def derivative(value, stencil, order):
+        value = np.asarray(value, dtype=complex)
+        total = None
+        for offset, coeff in stencil:
+            contrib = coeff * value[start[offset] : start[offset] + count]
+            total = contrib if total is None else total + contrib
+        return total / h**order
+
+    derivatives = tuple(
+        _each_field(values, lambda v: derivative(v, stencil, order))
+        for stencil, order in zip(stencils, orders)
+    )
+    return derivatives, ok
 
 
-def fd_mixed(
-    f: MaskedFn,
-    points: np.ndarray,
-    var_a: int,
-    var_b: int,
-    h: float = DEFAULT_H,
-    accuracy: int = DEFAULT_ACCURACY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed second partial by nesting first-derivative stencils."""
-    if var_a == var_b:
-        return fd_partial(f, points, var_a, order=2, h=h, accuracy=accuracy)
-
-    def inner(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return fd_partial(f, p, var_b, order=1, h=h, accuracy=accuracy)
-
-    return fd_partial(inner, points, var_a, order=1, h=h, accuracy=accuracy)
+def _each_field(values, fn: Callable):
+    """``fn`` of an array, or of each array of a tuple."""
+    if isinstance(values, tuple):
+        return tuple(fn(v) for v in values)
+    return fn(values)
 
 
 @dataclass(frozen=True)

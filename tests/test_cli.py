@@ -178,6 +178,27 @@ class TestSchemaErrors:
         )
         assert cli.main(["validate", str(path)]) == 2
 
+    # An integer literal beyond the float range exits 2 with a config
+    # message, not with the OverflowError of converting it, and writes nothing.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"min": -(10**400), "max": 1}, {"min": -1, "max": 10**400}],
+        ids=["huge-min", "huge-max"],
+    )
+    def test_grid_bound_beyond_float_range(self, tmp_path, monkeypatch, capsys, command, bounds):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(
+            tmp_path,
+            grid=[
+                {"name": "x", "count": 3, **bounds},
+                {"name": "t", "min": -1, "max": 1, "count": 3},
+            ],
+        )
+        assert cli.main([command, str(path)]) == 2
+        assert "grid min/max must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_unknown_family(self, tmp_path):
         path = write_config(tmp_path, family="heat")
         assert cli.main(["validate", str(path)]) == 2

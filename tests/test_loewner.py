@@ -178,9 +178,10 @@ class TestResiduals:
         calls.clear()
         (channels, _), ok = evaluator(generic_scenario, with_fd=True)(pts)
         assert ok.all()
-        # plus one batched Psi solve per stencil offset: four per axis at
-        # accuracy 4
-        assert len(calls) == 10
+        # plus one batched Psi solve per axis, on the four stencil offsets
+        # of accuracy 4 stacked together
+        assert len(calls) == 4
+        assert [len(s) for s, _ in calls[2:]] == [4 * len(pts)] * 2
         monkeypatch.setattr(linalg, "solve_pivoted", solve)
 
         def psi(points):
@@ -188,7 +189,9 @@ class TestResiduals:
             return psi, ok
 
         (_, ell), _ = eval_loewner(generic_scenario, pts)
-        fd = verify.fd_partial(psi, pts, 0)[0] - ell @ verify.fd_partial(psi, pts, 1)[0]
+        (psi_x,), _ = verify.fd_partial(psi, pts, 0, (1,))
+        (psi_y,), _ = verify.fd_partial(psi, pts, 1, (1,))
+        fd = psi_x - ell @ psi_y
         assert np.array_equal(channels["system_fd"], linalg.fro(fd))
 
 

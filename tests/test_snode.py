@@ -39,18 +39,6 @@ def test_solve_for_R_scaling_covariance():
     np.testing.assert_allclose(r2, 4.0 * r1, atol=1e-12 * (1 + linalg.fro(r1)))
 
 
-def test_build_block_diag_R_diagonal_closed_form():
-    # for diagonal A the solution is elementwise: R_ij = rhs_ij / (a_i + conj(a_j))
-    a = np.diag([1.0, 2.0]).astype(complex)
-    col = np.array([1.0, 1.0 + 1j])
-    r = snode.build_block_diag_R(a, [col, col], [-1.0, 1.0])
-    rhs = np.outer(col, col.conj())
-    denom = np.array([[2.0, 3.0], [3.0, 4.0]])
-    np.testing.assert_allclose(r[:2, :2], -rhs / denom, atol=1e-12)
-    np.testing.assert_allclose(r[2:, 2:], rhs / denom, atol=1e-12)
-    assert np.array_equal(r[:2, 2:], np.zeros((2, 2)))
-
-
 def two_channel_node():
     # two diagonal channels, one-column splitting g1 = [1, 1]
     d = np.diag([1.0, 2.0]).astype(complex)
