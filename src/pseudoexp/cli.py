@@ -185,6 +185,10 @@ def _output_settings(config: Mapping, family_fields: Sequence[str]) -> tuple[lis
     path = ocfg.get("path")
     if not isinstance(path, str) or not path:
         raise ConfigError("output.path must be a non-empty string")
+    # Checked before the sweep, so a run does not fail only when it writes.
+    dump = Path(path)
+    if dump.is_dir() or not dump.parent.is_dir():
+        raise ConfigError(f"output.path {path!r} must name a file in an existing directory")
     return list(fields), fmt, path
 
 
@@ -284,11 +288,6 @@ def _cmd_run(path: str) -> int:
 
     rows = _dump_rows(spec, scenario, grid, fields)
     dump_path = Path(out_path)
-    if fmt == "csv":
-        _write_csv(dump_path, grid, fields, rows)
-    else:
-        _write_json(dump_path, grid, fields, rows)
-
     report_path = dump_path.with_suffix(".report.json")
     payload = {
         "config": config,
@@ -297,7 +296,14 @@ def _cmd_run(path: str) -> int:
         "report": report.to_dict(),
         "verify": {"h": h, "accuracy": accuracy},
     }
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        if fmt == "csv":
+            _write_csv(dump_path, grid, fields, rows)
+        else:
+            _write_json(dump_path, grid, fields, rows)
+        report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {exc.filename!r}: {exc.strerror or exc}") from exc
 
     status = "pass" if report.passed else "FAIL"
     print(

@@ -198,9 +198,10 @@ def evaluator(
     sc: DiracScenario,
     h: float = verify.DEFAULT_H,
     accuracy: int = verify.DEFAULT_ACCURACY,
-    with_fd: bool = True,
 ):
-    """Residual channels for sweep: analytic wave equation, FD cross-check."""
+    """The sweep's residual function of stacked points: the wave equation
+    with analytic derivatives (``wave_analytic``) and with FD stencils on
+    Psi (``wave_fd``), both at every point."""
 
     fam = sc.family
 
@@ -209,11 +210,10 @@ def evaluator(
         v, ok_v = potential(sc, points)
         channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
         ok = ok & ok_v
-        if with_fd:
-            (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 0, (1,), h=h, accuracy=accuracy)
-            (wy_fd,), ok_y = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
-            ok = ok & ok_t & ok_y
-            channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
+        (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 0, (1,), h=h, accuracy=accuracy)
+        (wy_fd,), ok_y = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
+        ok = ok & ok_t & ok_y
+        channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
         return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), ok
 
     return evaluate
@@ -242,7 +242,6 @@ SPEC = FamilySpec(
     var_names=VAR_NAMES,
     grid=(9, 0.8),
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    fd_channel="wave_fd",
     evaluator=evaluator,
     fields=("potential", "wave"),
     field_values=all_fields(potential, wave),

@@ -193,10 +193,10 @@ def evaluator(
     sc: DsiScenario,
     h: float = verify.DEFAULT_H,
     accuracy: int = verify.DEFAULT_ACCURACY,
-    with_fd: bool = True,
 ):
-    """Channels: analytic premises; FD residuals of the evolution equation
-    and the two first-order coupling equations.
+    """The sweep's residual function of stacked points. Channels, all at
+    every point: the analytic premises and the FD residuals of the
+    evolution equation and the two first-order coupling equations.
 
     The FD channels difference one tuple field (u, q1, q2, u* u, u u*):
     one call along x for orders 1 and 2, one along y for orders 1 and 2,
@@ -211,19 +211,18 @@ def evaluator(
         (u, q1, q2), ok = fields_uq(sc, points)
         channels, scale = premise_residuals(sc, points)
         scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
-        if with_fd:
-            (d_x, d_xx), ok_x = verify.fd_partial(fd_fields, points, X, (1, 2), h=h, accuracy=accuracy)
-            (d_y, d_yy), ok_y = verify.fd_partial(fd_fields, points, Y, (1, 2), h=h, accuracy=accuracy)
-            (d_t,), ok_t = verify.fd_partial(fd_fields, points, T, (1,), h=h, accuracy=accuracy)
-            ok = ok & ok_x & ok_y & ok_t
-            _, q1_x, q2_x, usu_x, uus_x = d_x
-            _, q1_y, q2_y, usu_y, uus_y = d_y
-            evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
-            coupling1 = q1_x - q1_y - 0.5 * (usu_y + usu_x)
-            coupling2 = q2_x + q2_y - 0.5 * (uus_y - uus_x)
-            channels["evolution_fd"] = linalg.fro(evolution)
-            channels["coupling1_fd"] = linalg.fro(coupling1)
-            channels["coupling2_fd"] = linalg.fro(coupling2)
+        (d_x, d_xx), ok_x = verify.fd_partial(fd_fields, points, X, (1, 2), h=h, accuracy=accuracy)
+        (d_y, d_yy), ok_y = verify.fd_partial(fd_fields, points, Y, (1, 2), h=h, accuracy=accuracy)
+        (d_t,), ok_t = verify.fd_partial(fd_fields, points, T, (1,), h=h, accuracy=accuracy)
+        ok = ok & ok_x & ok_y & ok_t
+        _, q1_x, q2_x, usu_x, uus_x = d_x
+        _, q1_y, q2_y, usu_y, uus_y = d_y
+        evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
+        coupling1 = q1_x - q1_y - 0.5 * (usu_y + usu_x)
+        coupling2 = q2_x + q2_y - 0.5 * (uus_y - uus_x)
+        channels["evolution_fd"] = linalg.fro(evolution)
+        channels["coupling1_fd"] = linalg.fro(coupling1)
+        channels["coupling2_fd"] = linalg.fro(coupling2)
         return (channels, scale), ok
 
     return evaluate
@@ -272,7 +271,6 @@ SPEC = FamilySpec(
         "coupling1_fd": 1e-5,
         "coupling2_fd": 1e-5,
     },
-    fd_channel="evolution_fd",
     evaluator=evaluator,
     fields=("u", "q1", "q2"),
     field_values=fields_uq,

@@ -196,10 +196,6 @@ class STerm:
         if self.c.shape[1] != self.recipe.dim or self.r.shape != (self.recipe.dim, self.recipe.dim):
             raise ValueError("C and R must conform with the recipe dimension")
 
-    def core(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        """d^deriv of exp(M) R exp(M)* at stacked points."""
-        return self._core(self.recipe.exp_value(points), _canonical(deriv))
-
     def _core(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
         # The product rule, given exp(M) at stacked points.
         g0 = e @ self.r @ linalg.adjoint(e)

@@ -38,7 +38,6 @@ __all__ = [
     "synthesize_chat",
     "diagonal_block_r",
     "xi",
-    "system_residual",
     "premise_residuals",
     "evaluator",
     "SPEC",
@@ -207,16 +206,6 @@ def _system_form(
     return lhs - rhs
 
 
-@pointwise(masked=True)
-def system_residual(sc: GnoeScenario, points: np.ndarray):
-    """(absolute residual, local scale) of the analytic first-derivative
-    form at stacked points, with the mask."""
-    (f, f_x, f_t, f_y), ok = _xi_and_first_derivs(sc, points)
-    res = _system_form(sc.d_mat, sc.dtilde_mat, f, f_x, f_t, f_y)
-    scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])
-    return (linalg.fro(res), scale), ok
-
-
 @pointwise(masked=False)
 def premise_residuals(sc: GnoeScenario, points: np.ndarray):
     """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
@@ -235,8 +224,12 @@ def evaluator(
     sc: GnoeScenario,
     h: float = verify.DEFAULT_H,
     accuracy: int = verify.DEFAULT_ACCURACY,
-    with_fd: bool = True,
 ):
+    """The sweep's residual function of stacked points. Channels, all at
+    every point: the system with analytic first derivatives of xi
+    (``system_analytic``) and with FD stencils on xi (``system_fd``), the
+    two premises and the reduction xi* = B xi B."""
+
     def xi_fn(p):
         return xi(sc, p)
 
@@ -250,14 +243,11 @@ def evaluator(
         channels["reduction"] = linalg.fro(
             linalg.adjoint(f) - sc.b_mat @ f @ sc.b_mat
         )
-        if with_fd:
-            (g_x,), ok_x = verify.fd_partial(xi_fn, points, X, (1,), h=h, accuracy=accuracy)
-            (g_t,), ok_t = verify.fd_partial(xi_fn, points, T, (1,), h=h, accuracy=accuracy)
-            (g_y,), ok_y = verify.fd_partial(xi_fn, points, Y, (1,), h=h, accuracy=accuracy)
-            ok = ok & ok_x & ok_t & ok_y
-            channels["system_fd"] = linalg.fro(
-                _system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y)
-            )
+        (g_x,), ok_x = verify.fd_partial(xi_fn, points, X, (1,), h=h, accuracy=accuracy)
+        (g_t,), ok_t = verify.fd_partial(xi_fn, points, T, (1,), h=h, accuracy=accuracy)
+        (g_y,), ok_y = verify.fd_partial(xi_fn, points, Y, (1,), h=h, accuracy=accuracy)
+        ok = ok & ok_x & ok_t & ok_y
+        channels["system_fd"] = linalg.fro(_system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y))
         return (channels, scale), ok
 
     return evaluate
@@ -300,7 +290,6 @@ SPEC = FamilySpec(
         "premise_t": 1e-12,
         "reduction": 1e-12,
     },
-    fd_channel="system_fd",
     evaluator=evaluator,
     fields=("xi",),
     field_values=all_fields(xi),

@@ -117,7 +117,7 @@ def mat_exp(m) -> np.ndarray:
     return e
 
 
-def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
+def solve_sylvester(a, b, q) -> np.ndarray:
     """Solve A X + X B = Q by Kronecker vectorization.
 
     The linear system (I (x) A + B^T (x) I) vec X = vec Q (column-major vec)
@@ -128,9 +128,8 @@ def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
     Parameters
     ----------
     a, b, q : array_like
-        Shapes (N, N), (M, M), (N, M).
-    tol : float
-        Accept X only if ||A X + X B - Q||_F <= tol * (1 + ||Q||_F).
+        Shapes (N, N), (M, M), (N, M). X is accepted only if
+        ||A X + X B - Q||_F <= SYLVESTER_TOL * (1 + ||Q||_F).
 
     Returns
     -------
@@ -159,7 +158,7 @@ def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
 
     k = np.kron(np.eye(m, dtype=complex), a) + np.kron(b.T, np.eye(n, dtype=complex))
     rhs = q.reshape(-1, order="F")
-    bound = tol * (1.0 + fro(q))
+    bound = SYLVESTER_TOL * (1.0 + fro(q))
 
     def finish(x_flat: np.ndarray) -> np.ndarray | None:
         x = x_flat.reshape((n, m), order="F")
@@ -187,13 +186,13 @@ def solve_sylvester(a, b, q, tol: float = SYLVESTER_TOL) -> np.ndarray:
     )
 
 
-def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL):
+def solve_pivoted(s, rhs):
     """Solve S X = RHS by Gaussian elimination with partial pivoting.
 
     Takes a stack of systems, S of shape (N, n, n) and RHS (N, n, k), and
     returns (X, ok). The elimination runs over the n columns, each step
     acting on all N systems; ok[i] is False where system i met a pivot of
-    magnitude below ``pivot_rtol * ||S_i||_F`` (the singular flag), and
+    magnitude below ``PIVOT_RTOL * ||S_i||_F`` (the singular flag), and
     X[i] is zero there. Callers mask such points rather than handle an
     exception; one system is a stack of one.
     """
@@ -208,7 +207,7 @@ def solve_pivoted(s, rhs, pivot_rtol: float = PIVOT_RTOL):
 
     count, n = s.shape[:2]
     snorm = fro(s)
-    threshold = pivot_rtol * snorm
+    threshold = PIVOT_RTOL * snorm
     ok = snorm > 0.0
     systems = np.arange(count)
     u = s.copy()

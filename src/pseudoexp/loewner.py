@@ -167,18 +167,21 @@ def evaluator(
     sc: LoewnerScenario,
     h: float = verify.DEFAULT_H,
     accuracy: int = verify.DEFAULT_ACCURACY,
-    with_fd: bool = True,
 ):
+    """The sweep's residual function of stacked points. Channels, all at
+    every point: Psi_x = L Psi_y with analytic derivatives
+    (``system_analytic``) and with FD stencils on Psi (``system_fd``), and
+    the two premises."""
+
     def psi_fn(p):
         return linalg.solve_pivoted(sc.lambda1.value(p), sc.lambda2.value(p))
 
     def evaluate(points):
         (channels, scale, ell), ok = _analytic_residuals(sc, points)
-        if with_fd:
-            (psi_x,), ok_x = verify.fd_partial(psi_fn, points, 0, (1,), h=h, accuracy=accuracy)
-            (psi_y,), ok_y = verify.fd_partial(psi_fn, points, 1, (1,), h=h, accuracy=accuracy)
-            ok = ok & ok_x & ok_y
-            channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
+        (psi_x,), ok_x = verify.fd_partial(psi_fn, points, 0, (1,), h=h, accuracy=accuracy)
+        (psi_y,), ok_y = verify.fd_partial(psi_fn, points, 1, (1,), h=h, accuracy=accuracy)
+        ok = ok & ok_x & ok_y
+        channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
         return (channels, scale), ok
 
     return evaluate
@@ -223,7 +226,6 @@ SPEC = FamilySpec(
         "premise_2": 1e-11,
         "system_fd": 1e-6,
     },
-    fd_channel="system_fd",
     evaluator=evaluator,
     fields=("solution", "coefficient"),
     field_values=eval_loewner,

@@ -137,9 +137,10 @@ def evaluator(
     sc: SchrodingerScenario,
     h: float = verify.DEFAULT_H,
     accuracy: int = verify.DEFAULT_ACCURACY,
-    with_fd: bool = True,
 ):
-    """Residual channels: i W_t + W_xx - q W, analytically and via FD.
+    """The sweep's residual function of stacked points: i W_t + W_xx - q W
+    with analytic derivatives (``wave_analytic``) and via FD
+    (``wave_fd``), both at every point.
 
     The FD channel recomputes every derivative in the equation, including
     the x-derivative inside the potential, by stencils on the raw fields.
@@ -158,13 +159,12 @@ def evaluator(
         scale = np.maximum(linalg.fro(w), linalg.fro(qt))
         channels = {"wave_analytic": linalg.fro(res)}
         ok = ok & ok_q
-        if with_fd:
-            (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
-            ((_, qx_fd), (wxx_fd, _)), ok_x = verify.fd_partial(
-                w_and_q, points, 0, (1, 2), h=h, accuracy=accuracy
-            )
-            ok = ok & ok_t & ok_x
-            channels["wave_fd"] = linalg.fro(1j * wt_fd + wxx_fd - (-2.0 * qx_fd) @ w)
+        (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
+        ((_, qx_fd), (wxx_fd, _)), ok_x = verify.fd_partial(
+            w_and_q, points, 0, (1, 2), h=h, accuracy=accuracy
+        )
+        ok = ok & ok_t & ok_x
+        channels["wave_fd"] = linalg.fro(1j * wt_fd + wxx_fd - (-2.0 * qx_fd) @ w)
         return (channels, scale), ok
 
     return evaluate
@@ -403,7 +403,6 @@ SPEC = FamilySpec(
     var_names=VAR_NAMES,
     grid=(9, 0.8),
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    fd_channel="wave_fd",
     evaluator=evaluator,
     fields=("potential", "wave"),
     field_values=all_fields(potential, wave),

@@ -133,17 +133,19 @@ def all_fields(*field_fns: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family's declaration. Its ``tolerances`` name every residual
+    channel a sweep computes, analytic and FD alike: both paths always run,
+    and a tolerance map names exactly these channels."""
+
     name: str
     var_names: tuple[str, ...]
     # Default grid (count, half_width): ``count`` points per axis over
     # [-half_width, half_width].
     grid: tuple[int, float]
-    # Default tolerance per residual channel; the FD path runs only when
-    # ``fd_channel`` has a tolerance.
+    # Default tolerance per residual channel the evaluator computes.
     tolerances: Mapping[str, float]
-    fd_channel: str
-    # ``evaluator(sc, h=, accuracy=, with_fd=)`` returns the sweep's residual
-    # function of stacked points (see ``verify.sweep``).
+    # ``evaluator(sc, h=, accuracy=)`` returns the sweep's residual function
+    # of stacked points (see ``verify.sweep``).
     evaluator: Callable
     # Output field names, and the function of (scenario, stacked points)
     # returning their values in this order with the mask of non-singular
@@ -172,12 +174,12 @@ class FamilySpec:
             h: float = verify.DEFAULT_H,
             accuracy: int = verify.DEFAULT_ACCURACY,
         ) -> verify.ResidualReport:
-            """Sweep every residual channel over ``grid`` (default: the
-            declared grid) against ``tolerances`` (default: the declared
-            ones). Leaving the FD channel out of ``tolerances`` skips the FD
-            path."""
-            tol = tolerances or spec.tolerances
-            evaluate = spec.evaluator(sc, h=h, accuracy=accuracy, with_fd=spec.fd_channel in tol)
+            """Sweep every residual channel, analytic and FD, over ``grid``
+            (default: the declared grid) against ``tolerances`` (default:
+            the declared ones). A given map must name exactly the declared
+            channels; ``verify.sweep`` raises ValueError otherwise."""
+            tol = spec.tolerances if tolerances is None else tolerances
+            evaluate = spec.evaluator(sc, h=h, accuracy=accuracy)
             return verify.sweep(grid or default_grid(), evaluate, tol, meta={"family": spec.name})
 
         return verify_scenario

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -234,7 +234,7 @@ EvaluateFn = Callable[[np.ndarray], tuple[tuple[Mapping[str, np.ndarray], np.nda
 def sweep(
     grid: Grid,
     evaluate: EvaluateFn,
-    tolerances: Union[float, Mapping[str, float]],
+    tolerances: Mapping[str, float],
     meta: Optional[Mapping[str, object]] = None,
 ) -> ResidualReport:
     """Evaluate the residual channels at every grid point in one call, and
@@ -242,9 +242,11 @@ def sweep(
 
     ``evaluate`` takes the stacked grid points and returns the absolute
     residual per channel and the local field scale at each point, with the
-    mask: False at singular points, which are masked. Relative residuals
-    divide by 1 + max field scale over the non-masked grid. A non-finite
-    residual at a point that is not masked raises ValueError.
+    mask: False at singular points, which are masked. ``tolerances`` must
+    name exactly the channels ``evaluate`` returned, even when every point
+    is masked; otherwise ValueError. Relative residuals divide by 1 + max
+    field scale over the non-masked grid. A non-finite residual at a point
+    that is not masked raises ValueError.
     """
     stacked = grid.stacked()
     if not len(stacked):
@@ -254,6 +256,11 @@ def sweep(
     ok = np.broadcast_to(np.asarray(ok, dtype=bool), (count,))
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (count,))
     columns = {str(k): np.broadcast_to(np.asarray(v, dtype=float), (count,)) for k, v in residuals.items()}
+    if set(tolerances) != set(columns):
+        raise ValueError(
+            f"tolerances name the channels {sorted(tolerances)}, "
+            f"but the sweep computed {sorted(columns)}"
+        )
     for name, values in columns.items():
         bad = np.flatnonzero(ok & ~np.isfinite(values))
         if len(bad):
@@ -271,12 +278,7 @@ def sweep(
         max_rel = max_abs / denom
         # Python's sequential sum, so reports keep their exact bytes.
         mean_rel = (sum(values) / len(values)) / denom
-        if isinstance(tolerances, Mapping):
-            if name not in tolerances:
-                raise ValueError(f"no tolerance configured for channel {name!r}")
-            tol = float(tolerances[name])
-        else:
-            tol = float(tolerances)
+        tol = float(tolerances[name])
         ok_channel = max_rel <= tol
         all_passed = all_passed and ok_channel
         channels.append(ChannelSummary(name, max_abs, max_rel, mean_rel, tol, ok_channel))

@@ -78,18 +78,6 @@ def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     assert counts == [SOLVES_PER_SWEEP[module.SPEC.name]] * 2
 
 
-def test_gnoe_without_fd_solves_once_per_sweep(monkeypatch):
-    # xi and its three first derivatives need only Y = S^-1 Pi:
-    # Q_v = Pi_v* Y + Y* Pi_v - Y* S_v Y. One solve serves all 125 points.
-    sc = gnoe.random_scenario(np.random.default_rng(5))
-    tolerances = {k: v for k, v in gnoe.SPEC.tolerances.items() if k != gnoe.SPEC.fd_channel}
-    calls = _counting_solves(monkeypatch)
-    report = gnoe.verify_scenario(sc, grid=gnoe.default_grid(count=5), tolerances=tolerances)
-    assert report.passed
-    assert len(calls) == 1
-    assert calls[0][0].shape[0] == 125
-
-
 @pytest.mark.parametrize("label, sc, module", _scenarios(), ids=lambda v: v if isinstance(v, str) else "")
 def test_stack_of_points_matches_each_point(label, sc, module):
     points = module.default_grid(count=3).stacked()

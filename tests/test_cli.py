@@ -317,6 +317,29 @@ class TestOverwriteGuard:
         assert sorted(p.name for p in tmp_path.iterdir()) == [config_name]
 
 
+class TestOutputPath:
+    # A dump path in a missing directory, or naming a directory, exits 2
+    # before the sweep under both commands, and writes nothing.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("out_path", ["nodir/out.csv", "adir"])
+    def test_unwritable_dump_path_exits_two(self, tmp_path, monkeypatch, capsys, command, out_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        path = write_config(
+            tmp_path, output={"fields": ["potential"], "format": "csv", "path": out_path}
+        )
+        assert cli.main([command, str(path)]) == 2
+        assert f"output.path {out_path!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "config.json"]
+
+    def test_write_error_exits_two_naming_the_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.report.json").mkdir()
+        path = write_config(tmp_path)
+        assert cli.main(["run", str(path)]) == 2
+        assert "cannot write output 'out.report.json'" in capsys.readouterr().err
+
+
 class TestDump:
     def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
         # The CLI reaches the builder and verify_scenario through module

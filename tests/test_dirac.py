@@ -130,13 +130,13 @@ class TestResiduals:
         assert rep.channels[0].max_relative <= 1e-9
 
     def test_analytic_residual_small_off_line(self, frozen):
-        ev = evaluator(frozen, with_fd=False)
+        ev = evaluator(frozen)
         (channels, scale), ok = ev(np.array([(0.35, 0.15)]))
         assert ok[0]
         assert channels["wave_analytic"][0] <= 1e-9 * (1.0 + scale[0])
 
     def test_fd_residual_tracks_analytic(self, frozen):
-        ev = evaluator(frozen, with_fd=True)
+        ev = evaluator(frozen)
         (channels, scale), ok = ev(np.array([(0.35, 0.15)]))
         assert ok[0]
         assert channels["wave_fd"][0] <= 1e-6 * (1.0 + scale[0])

@@ -227,15 +227,6 @@ class TestResiduals:
             assert res["premise_x"] <= 1e-12 * scale
             assert res["premise_t"] <= 1e-12 * scale
 
-    def test_analytic_only_mode(self, exponential):
-        report = dsi.verify_scenario(
-            exponential,
-            grid=dsi.default_grid(count=3),
-            tolerances={"premise_x": 1e-12, "premise_t": 1e-12},
-        )
-        assert report.passed
-        assert {c.name for c in report.channels} == {"premise_x", "premise_t"}
-
     def test_rational_evolution_fd(self, rational):
         # Evolution and couplings for the rational fields, a stack of one point.
         evaluate = dsi.evaluator(rational)

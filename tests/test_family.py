@@ -199,12 +199,14 @@ class TestSTerm:
         assert np.array_equal(plus.value(pt), -minus.value(pt))
 
     def test_core_derivative_against_fd(self, singular_line_family):
+        # With C = I and sign +1 the term is the core exp(M) R exp(M)* itself.
         term = singular_line_family.s_terms[0]
+        assert term.sign == 1.0 and np.array_equal(term.c, np.eye(2))
         pt = (0.2, -0.1)
         h = 1e-6
 
         def core(point, deriv=()):
-            return term.core(np.array([point]), deriv)[0]
+            return term.value(np.array([point]), deriv)[0]
 
         fd = (core((pt[0], pt[1] + h)) - core((pt[0], pt[1] - h))) / (2 * h)
         an = core(pt, (1,))

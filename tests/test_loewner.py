@@ -131,13 +131,13 @@ class TestEval:
 
 class TestResiduals:
     def test_scalar_residual_roundoff(self, scalar_scenario):
-        ev = evaluator(scalar_scenario, with_fd=False)
+        ev = evaluator(scalar_scenario)
         (channels, scale), ok = ev(np.array([(0.3, -0.4)]))
         assert ok[0]
         assert channels["system_analytic"][0] <= 1e-12 * (1.0 + scale[0])
 
     def test_premise_identity_roundoff(self, generic_scenario):
-        ev = evaluator(generic_scenario, with_fd=False)
+        ev = evaluator(generic_scenario)
         rng = np.random.default_rng(51)
         for _ in range(5):
             pt = tuple(rng.uniform(-0.8, 0.8, 2))
@@ -156,7 +156,7 @@ class TestResiduals:
             assert rep.masked_count == 0
 
     def test_fd_channel(self, generic_scenario):
-        ev = evaluator(generic_scenario, with_fd=True)
+        ev = evaluator(generic_scenario)
         (channels, scale), ok = ev(np.array([(0.21, -0.35)]))
         assert ok[0]
         assert channels["system_fd"][0] <= 1e-6 * (1.0 + scale[0])
@@ -170,14 +170,10 @@ class TestResiduals:
 
         monkeypatch.setattr(linalg, "solve_pivoted", counting)
         pts = np.array([(0.21, -0.35), (0.1, 0.3), (-0.4, 0.05)])
-        _, ok = evaluator(generic_scenario, with_fd=False)(pts)
+        (channels, _), ok = evaluator(generic_scenario)(pts)
         assert ok.all()
         # Psi and L share one batched solve, Psi_x and Psi_y another
-        assert len(calls) == 2
-        assert all(len(s) == len(pts) for s, _ in calls)
-        calls.clear()
-        (channels, _), ok = evaluator(generic_scenario, with_fd=True)(pts)
-        assert ok.all()
+        assert all(len(s) == len(pts) for s, _ in calls[:2])
         # plus one batched Psi solve per axis, on the four stencil offsets
         # of accuracy 4 stacked together
         assert len(calls) == 4

@@ -156,7 +156,7 @@ class TestResiduals:
 
     def test_fd_channel_small(self):
         sc, _ = build_nonsingular_example(1.0, 1.0)
-        ev = evaluator(sc, with_fd=True)
+        ev = evaluator(sc)
         (channels, scale), ok = ev(np.array([(0.3, -0.2)]))
         assert ok[0]
         assert channels["wave_analytic"][0] <= 1e-9 * (1.0 + scale[0])

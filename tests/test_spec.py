@@ -46,10 +46,33 @@ def test_verify_scenario_uses_declared_tolerances(module):
     report = module.verify_scenario(sc, grid=module.default_grid(count=2))
     assert {c.name: c.tolerance for c in report.channels} == dict(spec.tolerances)
     assert report.meta["family"] == spec.name
-    assert spec.fd_channel in spec.tolerances
-    without_fd = {k: v for k, v in spec.tolerances.items() if k != spec.fd_channel}
-    report = module.verify_scenario(sc, grid=module.default_grid(count=2), tolerances=without_fd)
-    assert spec.fd_channel not in {c.name for c in report.channels}
+    # Every family declares an analytic and an FD channel.
+    assert any(name.endswith("_fd") for name in spec.tolerances)
+    assert any(not name.endswith("_fd") for name in spec.tolerances)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)
+def test_tolerance_map_must_name_exactly_the_declared_channels(module):
+    sc = module.random_scenario(np.random.default_rng(3))
+    grid = module.default_grid(count=2)
+    declared = dict(module.SPEC.tolerances)
+    for name in declared:
+        dropped = {k: v for k, v in declared.items() if k != name}
+        with pytest.raises(ValueError, match=name):
+            module.verify_scenario(sc, grid=grid, tolerances=dropped)
+    with pytest.raises(ValueError, match="typo_fd"):
+        module.verify_scenario(sc, grid=grid, tolerances={**declared, "typo_fd": 1e-6})
+    with pytest.raises(ValueError, match="tolerances"):
+        module.verify_scenario(sc, grid=grid, tolerances={})
+
+
+def test_dsi_map_without_the_evolution_channel_raises():
+    # One FD channel named, with a bound no residual meets, and evolution_fd
+    # left out: the sweep must not drop the FD path and pass.
+    sc = dsi.random_scenario(np.random.default_rng(3))
+    tolerances = {"premise_x": 1e-12, "premise_t": 1e-12, "coupling1_fd": 1e-30}
+    with pytest.raises(ValueError, match="evolution_fd"):
+        dsi.verify_scenario(sc, grid=dsi.default_grid(count=2), tolerances=tolerances)
 
 
 def test_each_family_has_its_own_verify_scenario():

@@ -191,7 +191,7 @@ def const(residuals, scale, ok=True):
 
 class TestSweep:
     def test_zero_residual_passes(self):
-        rep = sweep(_grid1d(), const({"eq": 0.0}, 1.0), 1e-9)
+        rep = sweep(_grid1d(), const({"eq": 0.0}, 1.0), {"eq": 1e-9})
         assert rep.passed
         assert rep.max_relative == 0.0
         assert rep.masked_count == 0
@@ -199,12 +199,12 @@ class TestSweep:
         assert rep.channels[0].name == "eq"
 
     def test_constant_residual_fails(self):
-        rep = sweep(_grid1d(), const({"eq": 1e-3}, 0.0), 1e-6)
+        rep = sweep(_grid1d(), const({"eq": 1e-3}, 0.0), {"eq": 1e-6})
         assert not rep.passed
         assert rep.channels[0].max_relative == pytest.approx(1e-3)
 
     def test_scale_denominator(self):
-        rep = sweep(_grid1d(), const({"eq": 1.0}, 9.0), 0.2)
+        rep = sweep(_grid1d(), const({"eq": 1.0}, 9.0), {"eq": 0.2})
         # relative residual 1/(1+9) = 0.1 <= 0.2
         assert rep.field_scale == 9.0
         assert rep.channels[0].max_relative == pytest.approx(0.1)
@@ -215,7 +215,7 @@ class TestSweep:
             n = len(points)
             return ({"eq": np.zeros(n)}, np.ones(n)), points[:, 0] != 0.0
 
-        rep = sweep(_grid1d(), ev, 1e-9)
+        rep = sweep(_grid1d(), ev, {"eq": 1e-9})
         assert rep.masked_count == 1
         assert rep.masked_points() == [(0.0,)]
         assert rep.passed
@@ -224,13 +224,13 @@ class TestSweep:
         assert rep.ok.tolist() == [False, True, True, True, True]
 
     def test_fully_masked_grid_fails(self):
-        rep = sweep(_grid1d(), const({}, 0.0, ok=False), 1e-9)
+        rep = sweep(_grid1d(), const({"eq": 0.0}, 0.0, ok=False), {"eq": 1e-9})
         assert not rep.passed
         assert rep.masked_count == rep.total_points
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="points"):
-            sweep(Grid(()), const({"eq": 0.0}, 1.0), 1e-9)
+            sweep(Grid(()), const({"eq": 0.0}, 1.0), {"eq": 1e-9})
 
     def test_per_channel_tolerances(self):
         rep = sweep(
@@ -253,11 +253,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="tolerance"):
             sweep(_grid1d(), const({"eq": 0.0}, 1.0), {"other": 1e-9})
 
+    @pytest.mark.parametrize("ok", [True, False], ids=["unmasked", "fully_masked"])
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{"a": 1e-9}, {"a": 1e-9, "b": 1e-9, "typo": 1e-9}, {}],
+        ids=["missing", "extra", "empty"],
+    )
+    def test_tolerances_must_name_exactly_the_computed_channels(self, tolerances, ok):
+        with pytest.raises(ValueError, match=r"\['a', 'b'\]"):
+            sweep(_grid1d(), const({"a": 0.0, "b": 0.0}, 1.0, ok=ok), tolerances)
+
     def test_mean_relative(self):
         def ev(points):
             return ({"eq": np.array([1.0, 2.0, 3.0, 4.0, 5.0])}, 0.0), everywhere(points)
 
-        rep = sweep(_grid1d(), ev, 10.0)
+        rep = sweep(_grid1d(), ev, {"eq": 10.0})
         assert rep.channels[0].mean_relative == pytest.approx(3.0)
         assert rep.channels[0].max_absolute == 5.0
         assert rep.residuals["eq"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -265,7 +275,7 @@ class TestSweep:
 
     def test_non_finite_residual_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sweep(_grid1d(), const({"eq": float("nan")}, 1.0), 1e-9)
+            sweep(_grid1d(), const({"eq": float("nan")}, 1.0), {"eq": 1e-9})
 
     def test_non_finite_residual_at_unmasked_point_rejected(self):
         # A masked (singular) point may carry any value; an overflow at a
@@ -277,14 +287,14 @@ class TestSweep:
             return ({"eq": eq}, 1.0), points[:, 0] != 0.0
 
         with pytest.raises(ValueError, match=r"finite residual in channel 'eq' at \(0\.75,\)"):
-            sweep(_grid1d(), ev, 1e-9)
+            sweep(_grid1d(), ev, {"eq": 1e-9})
 
         def masked_nan(points):
             eq = np.zeros(len(points))
             eq[0] = np.nan
             return ({"eq": eq}, 1.0), points[:, 0] != 0.0
 
-        rep = sweep(_grid1d(), masked_nan, 1e-9)
+        rep = sweep(_grid1d(), masked_nan, {"eq": 1e-9})
         assert rep.passed and rep.masked_points() == [(0.0,)]
 
     def test_evaluates_each_point_once_in_grid_order(self):
@@ -295,12 +305,12 @@ class TestSweep:
             return const({"eq": 0.0}, 1.0)(points)
 
         g = Grid((Axis("x", 0.0, 1.0, 3), Axis("t", -1.0, 1.0, 4)))
-        sweep(g, ev, 1e-9)
+        sweep(g, ev, {"eq": 1e-9})
         assert len(seen) == 1
         assert [tuple(p) for p in seen[0]] == g.points()
 
     def test_report_json_serializable(self):
-        rep = sweep(_grid1d(), const({"eq": 1e-12}, 2.0), 1e-9, meta={"family": "demo"})
+        rep = sweep(_grid1d(), const({"eq": 1e-12}, 2.0), {"eq": 1e-9}, meta={"family": "demo"})
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["passed"] is True
