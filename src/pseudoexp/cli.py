@@ -189,6 +189,9 @@ def _output_settings(config: Mapping, family_fields: Sequence[str]) -> tuple[lis
     dump = Path(path)
     if dump.is_dir() or not dump.parent.is_dir():
         raise ConfigError(f"output.path {path!r} must name a file in an existing directory")
+    report = dump.with_suffix(".report.json")
+    if report.is_dir():
+        raise ConfigError(f"report path {str(report)!r} is a directory")
     return list(fields), fmt, path
 
 

@@ -35,7 +35,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
-from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_int, parse_matrix, parse_vector
+from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector
 
 __all__ = [
     "SIGMA2",
@@ -179,19 +179,31 @@ def build_two_channel(
     return build_dirac(a1, a2, chat, c=c, s0=s0, r=r)
 
 
+def _potential(view) -> np.ndarray:
+    q = view.q()
+    v = 1j * (q @ SIGMA2 - SIGMA2 @ q)
+    return (v + linalg.adjoint(v)) / 2.0
+
+
 @pointwise(masked=True)
 def potential(sc: DiracScenario, points: np.ndarray):
     """V = i(Q sigma2 - sigma2 Q), Hermitian, at stacked points, with the
     mask of points where S is not singular."""
-    q, ok = sc.family.q(points)
-    v = 1j * (q @ SIGMA2 - SIGMA2 @ q)
-    return (v + linalg.adjoint(v)) / 2.0, ok
+    view = sc.family.at(points)
+    return _potential(view), view.ok
 
 
 @pointwise(masked=True)
 def wave(sc: DiracScenario, points: np.ndarray):
     """Psi = Pi* S^-1 at stacked points, with the mask."""
-    return sc.family.w(points)
+    view = sc.family.at(points)
+    return view.w(), view.ok
+
+
+def _fields(sc: DiracScenario, points: np.ndarray):
+    """(V, Psi) at stacked points from one view, with the mask."""
+    view = sc.family.at(points)
+    return (_potential(view), view.w()), view.ok
 
 
 def evaluator(
@@ -203,18 +215,17 @@ def evaluator(
     with analytic derivatives (``wave_analytic``) and with FD stencils on
     Psi (``wave_fd``), both at every point."""
 
-    fam = sc.family
+    def wave_fn(p):
+        return wave(sc, p)
 
     def evaluate(points):
-        (w, wt, wy), ok = fam.w_deriv(points, [(), (0,), (1,)])
-        v, ok_v = potential(sc, points)
+        view = sc.family.at(points)
+        w, wt, wy, v = view.w(), view.w((0,)), view.w((1,)), _potential(view)
         channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
-        ok = ok & ok_v
-        (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 0, (1,), h=h, accuracy=accuracy)
-        (wy_fd,), ok_y = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
-        ok = ok & ok_t & ok_y
+        (wt_fd,), ok_t = verify.fd_partial(wave_fn, points, 0, (1,), h=h, accuracy=accuracy)
+        (wy_fd,), ok_y = verify.fd_partial(wave_fn, points, 1, (1,), h=h, accuracy=accuracy)
         channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
-        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), ok
+        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), view.ok & ok_t & ok_y
 
     return evaluate
 
@@ -244,7 +255,7 @@ SPEC = FamilySpec(
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
     evaluator=evaluator,
     fields=("potential", "wave"),
-    field_values=all_fields(potential, wave),
+    field_values=_fields,
     builders={
         "general": Builder(
             "build_dirac",

@@ -162,24 +162,26 @@ def build_rational_dsi(
     return build_dsi(nil, nil, c1, c2, chat1, chat2, s0=s0)
 
 
-@pointwise(masked=True)
-def fields_uq(sc: DsiScenario, points: np.ndarray):
-    """(u, q1, q2) at stacked points, with the mask of points where S is
-    not singular."""
-    (q, qy), ok = sc.family.q_deriv(points, [(), (Y,)])
+def _fields_uq(sc: DsiScenario, view):
+    q, qy = view.q(), view.q((Y,))
     m1 = sc.m1
     u = 2.0 * q[:, m1:, :m1]
     q1 = 0.5 * (linalg.adjoint(u) @ u) - 2.0 * qy[:, :m1, :m1]
     q2 = -0.5 * (u @ linalg.adjoint(u)) + 2.0 * qy[:, m1:, m1:]
-    return (u, q1, q2), ok
+    return u, q1, q2
 
 
-@pointwise(masked=False)
-def premise_residuals(sc: DsiScenario, points: np.ndarray):
-    """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j, and the
-    scale 1 + ||Pi||, at stacked points."""
+@pointwise(masked=True)
+def fields_uq(sc: DsiScenario, points: np.ndarray):
+    """(u, q1, q2) at stacked points, with the mask of points where S is
+    not singular."""
+    view = sc.family.at(points)
+    return _fields_uq(sc, view), view.ok
+
+
+def _premise_residuals(sc: DsiScenario, view):
     j = sc.j_mat
-    pi, pi_x, pi_t, pi_y, pi_yy = sc.family.pi(points, [(), (X,), (T,), (Y,), (Y, Y)])
+    pi, pi_x, pi_t, pi_y, pi_yy = (view.pi(d) for d in [(), (X,), (T,), (Y,), (Y, Y)])
     return (
         {
             "premise_x": linalg.fro(pi_x - pi_y @ j),
@@ -187,6 +189,13 @@ def premise_residuals(sc: DsiScenario, points: np.ndarray):
         },
         1.0 + linalg.fro(pi),
     )
+
+
+@pointwise(masked=False)
+def premise_residuals(sc: DsiScenario, points: np.ndarray):
+    """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j, and the
+    scale 1 + ||Pi||, at stacked points."""
+    return _premise_residuals(sc, sc.family.at(points))
 
 
 def evaluator(
@@ -208,13 +217,13 @@ def evaluator(
         return (u, q1, q2, linalg.adjoint(u) @ u, u @ linalg.adjoint(u)), ok
 
     def evaluate(points):
-        (u, q1, q2), ok = fields_uq(sc, points)
-        channels, scale = premise_residuals(sc, points)
+        view = sc.family.at(points)
+        u, q1, q2 = _fields_uq(sc, view)
+        channels, scale = _premise_residuals(sc, view)
         scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
         (d_x, d_xx), ok_x = verify.fd_partial(fd_fields, points, X, (1, 2), h=h, accuracy=accuracy)
         (d_y, d_yy), ok_y = verify.fd_partial(fd_fields, points, Y, (1, 2), h=h, accuracy=accuracy)
         (d_t,), ok_t = verify.fd_partial(fd_fields, points, T, (1,), h=h, accuracy=accuracy)
-        ok = ok & ok_x & ok_y & ok_t
         _, q1_x, q2_x, usu_x, uus_x = d_x
         _, q1_y, q2_y, usu_y, uus_y = d_y
         evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
@@ -223,7 +232,7 @@ def evaluator(
         channels["evolution_fd"] = linalg.fro(evolution)
         channels["coupling1_fd"] = linalg.fro(coupling1)
         channels["coupling2_fd"] = linalg.fro(coupling2)
-        return (channels, scale), ok
+        return (channels, scale), view.ok & ok_x & ok_y & ok_t
 
     return evaluate
 

@@ -17,17 +17,17 @@ d^2/(dv dw) exp(M) = G_v G_w exp(M). A stack of points therefore needs one
 exp(x G_v) per distinct value x of each coordinate, not one exponential
 per point.
 
-Points come stacked: an (N, nvars) array, last index the variable. Every
-quantity comes back stacked along a leading axis of length N (Pi as
-(N, n, width), S as (N, n, n)). What is derived from S^-1 (the quadratic
-form Q = Pi* S^-1 Pi, the row function W = Pi* S^-1 and their derivatives)
-comes paired with a boolean mask ``ok`` of shape (N,): False where S is
-numerically singular, and the values there are zero. Grid evaluators mask
-such points. The methods of ``PseudoExpFamily`` and the families' public
-field functions also take one point (a flat sequence of nvars
-coordinates): they run on a stack of one and return that point's value,
-or None where S is singular (``pointwise``). Everything else takes stacks
-only.
+Points come stacked: an (N, nvars) array, last index the variable.
+``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
+function W = Pi* S^-1, the quadratic form Q = Pi* S^-1 Pi and their
+derivatives all come from a view, stacked along a leading axis of length N,
+and share its exponentials, its S and its solves. The view's (N,) mask
+``ok`` is False where S is numerically singular; what is derived from S^-1
+is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
+``s_direct`` and the families' public field functions also take one point
+(a flat sequence of nvars coordinates): they run on a stack of one and
+return that point's value, or None where S is singular (``pointwise``).
+Everything else takes stacks only.
 """
 
 from __future__ import annotations
@@ -235,33 +235,38 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 class _AtPoints:
-    """A family at one stack of points. Each exp(M) is computed once per
-    recipe, and Pi, S and Y = S^-1 Pi once per multi-index; every Y solve
-    narrows ``ok``."""
+    """The view of a family at one stack of points: exp(M) once per recipe,
+    and Pi, S and Y = S^-1 Pi once per multi-index, given in any order.
+    Every Y solve eliminates the same S with the same pivots, so all give
+    one mask; ``ok`` is that of the Y solve, made when first read."""
 
     def __init__(self, family: "PseudoExpFamily", points: np.ndarray):
         self.family = family
         self.points = points
-        self.ok = np.ones(len(points), dtype=bool)
-        self._exp: dict = {}
-        self._pi: dict = {}
-        self._s: dict = {}
-        self._y: dict = {}
+        self._exp, self._pi, self._s, self._y = {}, {}, {}, {}
+
+    @property
+    def ok(self) -> np.ndarray:
+        """(N,) mask, False where S is numerically singular."""
+        self.y(())
+        return self._ok
 
     def exp(self, recipe: ExponentRecipe) -> np.ndarray:
         if recipe not in self._exp:
             self._exp[recipe] = recipe.exp_value(self.points)
         return self._exp[recipe]
 
-    def pi(self, deriv: tuple[int, ...]) -> np.ndarray:
+    def pi(self, deriv: Sequence[int] = ()) -> np.ndarray:
+        """d^deriv Pi, (N, n, width)."""
         deriv = _canonical(deriv)
         if deriv not in self._pi:
             blocks = self.family.pi_blocks
             self._pi[deriv] = np.concatenate([b.at(self.exp(b.recipe), deriv) for b in blocks], axis=-1)
         return self._pi[deriv]
 
-    def s(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """S or one of its derivatives via the identity-based rules."""
+    def s(self, deriv: Sequence[int] = ()) -> np.ndarray:
+        """d^deriv S via the identity-based rules, (N, n, n)."""
+        deriv = _canonical(deriv)
         if deriv in self._s:
             return self._s[deriv]
         fam, adj = self.family, linalg.adjoint
@@ -288,7 +293,7 @@ class _AtPoints:
         return out
 
     def y(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """d^deriv Y, by one solve against S for each multi-index."""
+        """d^deriv Y for a sorted multi-index, by one solve against S."""
         if deriv not in self._y:
             if not deriv:
                 u = self.pi(())
@@ -303,16 +308,18 @@ class _AtPoints:
                     - self.s((w,)) @ self.y((v,))
                 )
             y, ok = linalg.solve_pivoted(self.s(()), u)
-            self.ok &= ok
+            if not deriv:
+                self._ok = ok
             self._y[deriv] = y
         return self._y[deriv]
 
-    def w(self, deriv: tuple[int, ...]) -> np.ndarray:
+    def w(self, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv W, using that W = (S^-1 Pi)* for Hermitian S."""
-        return linalg.adjoint(self.y(deriv))
+        return linalg.adjoint(self.y(_canonical(deriv)))
 
-    def q(self, deriv: tuple[int, ...]) -> np.ndarray:
+    def q(self, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv Q via d(S^-1) = -S^-1 (dS) S^-1; Hermitian."""
+        deriv = _canonical(deriv)
         adj = linalg.adjoint
         y0 = self.y(())
         if not deriv:
@@ -338,10 +345,9 @@ class _AtPoints:
 class PseudoExpFamily:
     """Pi/S evaluator with analytic derivatives to second order.
 
-    ``derivs`` arguments take one multi-index, such as ``(0,)`` or
-    ``(0, 1)``, or a list of them; a list returns a tuple with one stacked
-    array per multi-index, all from one assembly of S, with each derivative
-    of Y = S^-1 Pi they need solved once.
+    ``at(points)`` opens the view of one stack of points, the only way to
+    Pi, S, W, Q and their derivatives; ``s`` and ``s_direct`` also take one
+    point, for screens and the cross-check of the derivative rules.
     """
 
     def __init__(
@@ -378,15 +384,17 @@ class PseudoExpFamily:
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
 
-    @pointwise(masked=False)
-    def pi(self, points: np.ndarray, derivs=()):
-        """Pi or its derivatives, (N, n, width) each."""
-        return _each(derivs, _AtPoints(self, points).pi)
+    def at(self, points: np.ndarray) -> _AtPoints:
+        """The view of the family at an (N, nvars) stack of points."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise ValueError(f"expected an (N, {self.nvars}) stack of points, got shape {points.shape}")
+        return _AtPoints(self, points)
 
     @pointwise(masked=False)
     def s(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
         """S or one of its derivatives via the identity-based rules, (N, n, n)."""
-        return _AtPoints(self, points).s(_canonical(deriv))
+        return self.at(points).s(deriv)
 
     @pointwise(masked=False)
     def s_direct(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
@@ -398,33 +406,3 @@ class PseudoExpFamily:
         for term in self.s_terms:
             out = out + term.value(points, deriv)
         return out
-
-    # -- quantities through S^-1, each with its mask -------------------------
-
-    @pointwise(masked=True)
-    def q(self, points: np.ndarray):
-        """Q = Pi* S^-1 Pi (Hermitian) and the mask."""
-        at = _AtPoints(self, points)
-        q = at.q(())
-        return q, at.ok
-
-    @pointwise(masked=True)
-    def w(self, points: np.ndarray):
-        """W = Pi* S^-1 and the mask."""
-        at = _AtPoints(self, points)
-        w = at.w(())
-        return w, at.ok
-
-    @pointwise(masked=True)
-    def q_deriv(self, points: np.ndarray, derivs):
-        """Derivatives of Q (Hermitian) and the mask."""
-        at = _AtPoints(self, points)
-        values = _each(derivs, at.q)
-        return values, at.ok
-
-    @pointwise(masked=True)
-    def w_deriv(self, points: np.ndarray, derivs):
-        """Derivatives of W and the mask."""
-        at = _AtPoints(self, points)
-        values = _each(derivs, at.w)
-        return values, at.ok

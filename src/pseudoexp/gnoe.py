@@ -30,7 +30,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
-from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_matrix, parse_real_vector
+from .spec import RANDOM, Builder, FamilySpec, parse_matrix, parse_real_vector
 
 __all__ = [
     "GnoeScenario",
@@ -180,15 +180,14 @@ def build_gnoe(
 def xi(sc: GnoeScenario, points: np.ndarray):
     """xi = Q B at stacked points, with the mask of points where S is not
     singular."""
-    q, ok = sc.family.q(points)
-    return q @ sc.b_mat, ok
+    view = sc.family.at(points)
+    return view.q() @ sc.b_mat, view.ok
 
 
-def _xi_and_first_derivs(sc: GnoeScenario, points: np.ndarray):
-    """(xi, xi_x, xi_t, xi_y) and the mask, from one assembly of S and one
-    solve."""
-    quantities, ok = sc.family.q_deriv(points, [(), (X,), (T,), (Y,)])
-    return tuple(q @ sc.b_mat for q in quantities), ok
+def _fields(sc: GnoeScenario, points: np.ndarray):
+    """(xi,) at stacked points, with the mask."""
+    f, ok = xi(sc, points)
+    return (f,), ok
 
 
 def _system_form(
@@ -206,11 +205,8 @@ def _system_form(
     return lhs - rhs
 
 
-@pointwise(masked=False)
-def premise_residuals(sc: GnoeScenario, points: np.ndarray):
-    """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
-    scale 1 + ||Pi||, at stacked points."""
-    pi, pi_x, pi_t, pi_y = sc.family.pi(points, [(), (X,), (T,), (Y,)])
+def _premise_residuals(sc: GnoeScenario, view):
+    pi, pi_x, pi_t, pi_y = (view.pi(d) for d in [(), (X,), (T,), (Y,)])
     return (
         {
             "premise_x": linalg.fro(pi_x - pi_y @ sc.d_mat),
@@ -218,6 +214,13 @@ def premise_residuals(sc: GnoeScenario, points: np.ndarray):
         },
         1.0 + linalg.fro(pi),
     )
+
+
+@pointwise(masked=False)
+def premise_residuals(sc: GnoeScenario, points: np.ndarray):
+    """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
+    scale 1 + ||Pi||, at stacked points."""
+    return _premise_residuals(sc, sc.family.at(points))
 
 
 def evaluator(
@@ -234,9 +237,10 @@ def evaluator(
         return xi(sc, p)
 
     def evaluate(points):
-        (f, f_x, f_t, f_y), ok = _xi_and_first_derivs(sc, points)
+        view = sc.family.at(points)
+        f, f_x, f_t, f_y = (view.q(d) @ sc.b_mat for d in [(), (X,), (T,), (Y,)])
         scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])
-        channels, _ = premise_residuals(sc, points)
+        channels, _ = _premise_residuals(sc, view)
         channels["system_analytic"] = linalg.fro(
             _system_form(sc.d_mat, sc.dtilde_mat, f, f_x, f_t, f_y)
         )
@@ -246,9 +250,8 @@ def evaluator(
         (g_x,), ok_x = verify.fd_partial(xi_fn, points, X, (1,), h=h, accuracy=accuracy)
         (g_t,), ok_t = verify.fd_partial(xi_fn, points, T, (1,), h=h, accuracy=accuracy)
         (g_y,), ok_y = verify.fd_partial(xi_fn, points, Y, (1,), h=h, accuracy=accuracy)
-        ok = ok & ok_x & ok_t & ok_y
         channels["system_fd"] = linalg.fro(_system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y))
-        return (channels, scale), ok
+        return (channels, scale), view.ok & ok_x & ok_t & ok_y
 
     return evaluate
 
@@ -292,7 +295,7 @@ SPEC = FamilySpec(
     },
     evaluator=evaluator,
     fields=("xi",),
-    field_values=all_fields(xi),
+    field_values=_fields,
     builders={
         "general": Builder(
             "build_gnoe",

@@ -26,7 +26,7 @@ from . import linalg, verify
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
-from .spec import RANDOM, Builder, FamilySpec, all_fields, parse_complex, parse_matrix, parse_real
+from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real
 
 __all__ = [
     "SchrodingerScenario",
@@ -123,14 +123,21 @@ def build_schrodinger(
 def potential(sc: SchrodingerScenario, points: np.ndarray):
     """q = -2 dQ/dx, Hermitian, at stacked points, with the mask of points
     where S is not singular."""
-    qx, ok = sc.family.q_deriv(points, (0,))
-    return -2.0 * qx, ok
+    view = sc.family.at(points)
+    return -2.0 * view.q((0,)), view.ok
 
 
 @pointwise(masked=True)
 def wave(sc: SchrodingerScenario, points: np.ndarray):
     """W = Pi* S^-1 at stacked points, with the mask."""
-    return sc.family.w(points)
+    view = sc.family.at(points)
+    return view.w(), view.ok
+
+
+def _fields(sc: SchrodingerScenario, points: np.ndarray):
+    """(q, W) at stacked points from one view, with the mask."""
+    view = sc.family.at(points)
+    return (-2.0 * view.q((0,)), view.w()), view.ok
 
 
 def evaluator(
@@ -146,26 +153,25 @@ def evaluator(
     the x-derivative inside the potential, by stencils on the raw fields.
     """
 
-    fam = sc.family
+    def wave_fn(p):
+        return wave(sc, p)
 
     def w_and_q(p):
-        (w, ok_w), (q, ok_q) = fam.w(p), fam.q(p)
-        return (w, q), ok_w & ok_q
+        view = sc.family.at(p)
+        return (view.w(), view.q()), view.ok
 
     def evaluate(points):
-        (w, wt, wxx), ok = fam.w_deriv(points, [(), (1,), (0, 0)])
-        qt, ok_q = potential(sc, points)
+        view = sc.family.at(points)
+        w, wt, wxx, qt = view.w(), view.w((1,)), view.w((0, 0)), -2.0 * view.q((0,))
         res = 1j * wt + wxx - qt @ w
         scale = np.maximum(linalg.fro(w), linalg.fro(qt))
         channels = {"wave_analytic": linalg.fro(res)}
-        ok = ok & ok_q
-        (wt_fd,), ok_t = verify.fd_partial(fam.w, points, 1, (1,), h=h, accuracy=accuracy)
+        (wt_fd,), ok_t = verify.fd_partial(wave_fn, points, 1, (1,), h=h, accuracy=accuracy)
         ((_, qx_fd), (wxx_fd, _)), ok_x = verify.fd_partial(
             w_and_q, points, 0, (1, 2), h=h, accuracy=accuracy
         )
-        ok = ok & ok_t & ok_x
         channels["wave_fd"] = linalg.fro(1j * wt_fd + wxx_fd - (-2.0 * qx_fd) @ w)
-        return (channels, scale), ok
+        return (channels, scale), view.ok & ok_t & ok_x
 
     return evaluate
 
@@ -405,7 +411,7 @@ SPEC = FamilySpec(
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
     evaluator=evaluator,
     fields=("potential", "wave"),
-    field_values=all_fields(potential, wave),
+    field_values=_fields,
     builders={
         "general": Builder(
             "build_schrodinger",

@@ -22,7 +22,6 @@ __all__ = [
     "Builder",
     "FamilySpec",
     "RANDOM",
-    "all_fields",
     "parse_bool",
     "parse_complex",
     "parse_int",
@@ -117,18 +116,6 @@ class Builder:
 
 
 RANDOM = Builder("random_scenario", seeded=True)
-
-
-def all_fields(*field_fns: Callable) -> Callable:
-    """Function of stacked points returning every field's values and the
-    mask of points where all of them are defined (S not singular)."""
-
-    def fields(sc, points):
-        results = [fn(sc, points) for fn in field_fns]
-        ok = np.logical_and.reduce([good for _, good in results])
-        return tuple(values for values, _ in results), ok
-
-    return fields
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ they replaced."""
 import numpy as np
 import pytest
 
-from pseudoexp import dirac, dsi, gnoe, linalg, loewner, schrodinger
+from pseudoexp import dirac, dsi, family, gnoe, linalg, loewner, schrodinger, verify
 
 MODULES = (dirac, dsi, gnoe, loewner, schrodinger)
 
@@ -58,24 +58,69 @@ def _counting_solves(monkeypatch):
     return calls
 
 
-# Solves per sweep with the FD channel on: the analytic channels' solves
-# plus one field call per differenced variable (two solves for
-# Schrodinger's x call, which differences W and Q).
-SOLVES_PER_SWEEP = {"dirac": 6, "dsi": 4, "gnoe": 4, "loewner": 4, "schrodinger": 8}
+# Solves per sweep: one per derivative of Y = S^-1 Pi the analytic
+# channels need, plus one per differenced variable, whose field call (W and
+# Q together for Schrodinger's x call) needs Y alone.
+SOLVES_PER_SWEEP = {"dirac": 5, "dsi": 4, "gnoe": 4, "loewner": 4, "schrodinger": 6}
+# Views per sweep: one on the grid, one per differenced variable. Loewner
+# is not a pseudo-exponential family.
+VIEWS_PER_SWEEP = {"dirac": 3, "dsi": 4, "gnoe": 4, "loewner": 0, "schrodinger": 3}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)
 def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     sc = module.random_scenario(np.random.default_rng(5))
     calls = _counting_solves(monkeypatch)
+    views = []
+    at = family.PseudoExpFamily.at
+    monkeypatch.setattr(family.PseudoExpFamily, "at", lambda fam, p: views.append(p) or at(fam, p))
     counts = []
     for count in (3, 5):
         calls.clear()
+        views.clear()
         report = module.verify_scenario(sc, grid=module.default_grid(count=count))
         assert report.passed and report.masked_count == 0
         assert all(len(s) % count ** len(module.VAR_NAMES) == 0 for s, _ in calls)
-        counts.append(len(calls))
-    assert counts == [SOLVES_PER_SWEEP[module.SPEC.name]] * 2
+        counts.append((len(calls), len(views)))
+    name = module.SPEC.name
+    assert counts == [(SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name])] * 2
+
+
+def test_every_solve_of_a_view_gives_its_mask(monkeypatch):
+    # On this 17x17 grid (spacing 1/16, exact in binary) 7 points lie on the
+    # singular line x + 2t = -3/4. Every Y solve eliminates the same S, so
+    # each one returns the mask the view reports.
+    sc, _ = schrodinger.build_singular_line_example()
+    axes = (verify.Axis("x", -1.0, 0.0, 17), verify.Axis("t", -0.25, 0.75, 17))
+    points = verify.Grid(axes).stacked()
+    masks = []
+    solve = linalg.solve_pivoted
+
+    def recording(*args):
+        x, ok = solve(*args)
+        masks.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(linalg, "solve_pivoted", recording)
+    view = sc.family.at(points)
+    for deriv in [(), (1,), (0,), (0, 0), (0, 1)]:
+        view.w(deriv)
+    view.q((1, 0))
+    assert len(masks) == 5
+    assert (~view.ok).sum() == 7
+    assert np.array_equal(view.ok, points[:, 0] + 2 * points[:, 1] != -0.75)
+    for ok in masks:
+        assert np.array_equal(ok, view.ok)
+
+    # A view asked only for Pi makes no solve, and neither do the premise
+    # channels.
+    masks.clear()
+    view = sc.family.at(points)
+    for deriv in [(), (0,), (1,), (0, 0), (1, 0)]:
+        view.pi(deriv)
+    for module in (dsi, gnoe):
+        module.premise_residuals(module.random_scenario(np.random.default_rng(0)), module.default_grid().stacked())
+    assert masks == []
 
 
 @pytest.mark.parametrize("label, sc, module", _scenarios(), ids=lambda v: v if isinstance(v, str) else "")

@@ -1,5 +1,6 @@
 """CLI behavior: schema validation, exit codes, artifact formats, determinism."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -333,9 +334,28 @@ class TestOutputPath:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "config.json"]
 
     def test_write_error_exits_two_naming_the_path(self, tmp_path, monkeypatch, capsys):
+        # A report path that is a directory is caught with the dump path,
+        # before the sweep, so no dump is left without its report.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out.report.json").mkdir()
         path = write_config(tmp_path)
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 2
+            assert "report path 'out.report.json' is a directory" in capsys.readouterr().err
+            assert not (tmp_path / "out.csv").exists()
+
+    def test_failed_report_write_exits_two_naming_the_path(self, tmp_path, monkeypatch, capsys):
+        # A write that fails anyway exits 2 with a message naming the path.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path)
+        write_text = Path.write_text
+
+        def failing(self, *args, **kwargs):
+            if self.name == "out.report.json":
+                raise PermissionError(13, "Permission denied", str(self))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
         assert cli.main(["run", str(path)]) == 2
         assert "cannot write output 'out.report.json'" in capsys.readouterr().err
 
@@ -344,45 +364,51 @@ class TestDump:
     def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
         # The CLI reaches the builder and verify_scenario through module
         # attributes at call time, and evaluates the fields of every grid
-        # point once, in one batched call, for both dump formats.
+        # point once, on one view of the whole grid, for both dump formats.
         monkeypatch.chdir(tmp_path)
-        in_sweep, q_calls, used = [False], [], []
-        q_deriv = family.PseudoExpFamily.q_deriv
-        verify_scenario, build = dsi.verify_scenario, dsi.build_rational_dsi
+        in_sweep, views, used = [False], [], []
+        at = family.PseudoExpFamily.at
 
-        def counting_q_deriv(self, points, derivs):
+        def counting_at(self, points):
             if not in_sweep[0]:
-                q_calls.append(np.array(points))
-            return q_deriv(self, points, derivs)
+                views.append(np.array(points))
+            return at(self, points)
 
-        def sweeping(*args, **kwargs):
-            used.append("verify")
-            in_sweep[0] = True
-            try:
-                return verify_scenario(*args, **kwargs)
-            finally:
-                in_sweep[0] = False
+        monkeypatch.setattr(family.PseudoExpFamily, "at", counting_at)
+        cases = [
+            (dsi, "build_rational_dsi", {"builder": "rational"}, ("x", "t", "y"), ["q2", "u"]),
+            (schrodinger, "build_rational_example", {"builder": "rational"}, ("x", "t"), ["wave", "potential"]),
+        ]
+        for module, builder, params, names, fields in cases:
+            verify_scenario, build = module.verify_scenario, getattr(module, builder)
 
-        def building(*args, **kwargs):
-            used.append("build")
-            return build(*args, **kwargs)
+            def sweeping(*args, verify_scenario=verify_scenario, **kwargs):
+                used.append("verify")
+                in_sweep[0] = True
+                try:
+                    return verify_scenario(*args, **kwargs)
+                finally:
+                    in_sweep[0] = False
 
-        monkeypatch.setattr(family.PseudoExpFamily, "q_deriv", counting_q_deriv)
-        monkeypatch.setattr(dsi, "verify_scenario", sweeping)
-        monkeypatch.setattr(dsi, "build_rational_dsi", building)
-        grid = [{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in ("x", "t", "y")]
-        points = [(x, t, y) for x in (-0.2, 0.2) for t in (-0.2, 0.2) for y in (-0.2, 0.2)]
-        for fmt in ("csv", "json"):
-            q_calls.clear()
-            used.clear()
-            path = write_config(
-                tmp_path,
-                family="dsi",
-                params={"builder": "rational"},
-                grid=grid,
-                output={"fields": ["q2", "u"], "format": fmt, "path": f"out.{fmt}"},
-            )
-            assert cli.main(["run", str(path)]) == 0
-            assert used == ["build", "verify"]
-            assert len(q_calls) == 1
-            assert [tuple(p) for p in q_calls[0]] == points
+            def building(*args, build=build, **kwargs):
+                used.append("build")
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "verify_scenario", sweeping)
+            monkeypatch.setattr(module, builder, building)
+            grid = [{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in names]
+            points = list(itertools.product((-0.2, 0.2), repeat=len(names)))
+            for fmt in ("csv", "json"):
+                views.clear()
+                used.clear()
+                path = write_config(
+                    tmp_path,
+                    family=module.SPEC.name,
+                    params=params,
+                    grid=grid,
+                    output={"fields": fields, "format": fmt, "path": f"out.{fmt}"},
+                )
+                assert cli.main(["run", str(path)]) == 0
+                assert used == ["build", "verify"]
+                assert len(views) == 1
+                assert [tuple(p) for p in views[0]] == points

@@ -51,8 +51,9 @@ class TestTwoChannelBuilder:
         # d/dt Pi* + sigma2 d/dy Pi* = 0 by the kernel constraints
         fam = frozen.family
         for pt in [(0.3, 0.4), (-0.7, 0.2), (1.0, -0.5)]:
-            res = linalg.adjoint(fam.pi(pt, (0,))) + SIGMA2 @ linalg.adjoint(fam.pi(pt, (1,)))
-            scale = 1.0 + linalg.fro(fam.pi(pt))
+            view = fam.at(np.array([pt]))
+            res = linalg.adjoint(view.pi((0,))[0]) + SIGMA2 @ linalg.adjoint(view.pi((1,))[0])
+            scale = 1.0 + linalg.fro(view.pi()[0])
             assert linalg.fro(res) <= 1e-12 * scale
 
     def test_explicit_s(self, frozen):

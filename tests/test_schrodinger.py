@@ -90,7 +90,7 @@ class TestRational:
     def test_nowhere_singular(self):
         sc, _ = build_rational_example(1.0)
         for pt in default_grid(count=7, half_width=1.5).points():
-            assert sc.family.q(pt) is not None
+            assert sc.family.at(np.array([pt])).ok[0]
 
     def test_positivity_hypotheses_met(self):
         sc, _ = build_rational_example(1.0)
