@@ -121,11 +121,11 @@ class ExponentRecipe:
 
     def exp_value(self, points: np.ndarray) -> np.ndarray:
         """exp(M) at stacked points as the product of exp(x G_v) over the
-        variables, with one ``mat_exp`` per distinct coordinate value."""
+        variables, with one stacked ``mat_exp`` per variable over its values."""
         out = None
         for v, g in enumerate(self.generators):
             values, inverse = np.unique(points[:, v], return_inverse=True)
-            factors = np.array([linalg.mat_exp(x * g) for x in values]).reshape(-1, self.dim, self.dim)
+            factors = linalg.mat_exp(values[:, None, None] * g)
             out = factors[inverse] if out is None else out @ factors[inverse]
         return out
 

@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
-complex128, or stacks of them along a leading axis (``adjoint`` and ``fro``
-act on the last two axes; ``solve_pivoted`` takes stacks only). Desk scale
-only: matrix dimensions are small (a few dozen at most), so the solvers
-favour transparency over asymptotics.
+complex128, or stacks of them along a leading axis (``adjoint``, ``fro`` and
+``mat_exp`` act on the last two axes; ``solve_pivoted`` takes stacks only).
+Desk scale only: matrix dimensions are small (a few dozen at most), so the
+solvers favour transparency over asymptotics.
 """
 
 from __future__ import annotations
@@ -55,66 +55,65 @@ def fro(m: np.ndarray):
 
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:
-    # Horner form of sum_{k<=terms} m^k / k!
-    eye = np.eye(m.shape[0], dtype=complex)
+    # Horner form of sum_{k<=terms} m^k / k!, for one matrix or a stack
+    eye = np.eye(m.shape[-1], dtype=complex)
     acc = eye
     for k in range(terms, 0, -1):
         acc = eye + (m @ acc) / k
     return acc
 
 
-def _nilpotent_index(m: np.ndarray) -> int | None:
-    # Smallest k <= dim with m^k exactly zero, else None.
-    n = m.shape[0]
-    p = m
-    for k in range(1, n + 1):
-        if not p.any():
-            return k
-        p = p @ m
-    return None
-
-
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential exp(m).
+    """Matrix exponential exp(m) of a square matrix, or of each matrix of a
+    stack (..., n, n) in one vectorised pass; the result has m's shape.
 
-    Nilpotent inputs (m**k == 0 exactly for some k <= dim) take an exact
-    finite Taylor sum.  Otherwise scaling-and-squaring with a degree-16
-    Taylor polynomial at ||m/2^s||_1 <= 1/2; the truncation error is below
-    double roundoff at that radius.
-
-    Parameters
-    ----------
-    m : array_like
-        Square complex matrix.
-
-    Returns
-    -------
-    numpy.ndarray
+    A matrix with m**k == 0 exactly for some k <= n takes the exact finite
+    Taylor sum to its own k.  Every other matrix takes scaling-and-squaring
+    with a degree-16 Taylor polynomial at ||m/2^s||_1 <= 1/2, with its own
+    squaring count s; the truncation error is below double roundoff at that
+    radius.  Each matrix of a stack comes out bitwise equal to its own call.
     """
-    m = as_matrix(m, "mat_exp argument")
-    n, nc = m.shape
-    if n != nc:
-        raise ValueError(f"mat_exp needs a square matrix, got {m.shape}")
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"mat_exp needs a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("mat_exp argument contains non-finite entries")
+    if m.size == 0:
+        return np.zeros(m.shape, dtype=complex)
+    n = m.shape[-1]
+    ms = m.reshape(-1, n, n)
+    out = np.empty_like(ms)
+    eye = np.eye(n, dtype=complex)
 
-    k = _nilpotent_index(m)
-    if k is not None:
-        out = np.eye(n, dtype=complex)
-        p = np.eye(n, dtype=complex)
-        factorial = 1.0
-        for j in range(1, k):
-            p = p @ m
-            factorial *= j
-            out = out + p / factorial
-        return out
+    # Nilpotency index per matrix: the smallest k <= n with m^k exactly
+    # zero, else 0.
+    index, p = np.zeros(len(ms), dtype=int), ms
+    for k in range(1, n + 1):
+        index[(index == 0) & ~p.any(axis=(-2, -1))] = k
+        p = p @ ms
 
-    norm = np.linalg.norm(m, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))))
-    e = _taylor_exp(m / (2.0**squarings), 16)
-    for _ in range(squarings):
-        e = e @ e
-    return e
+    nil = np.flatnonzero(index)
+    a, k = ms[nil], index[nil]
+    e, p, factorial = np.broadcast_to(eye, a.shape), eye, 1.0
+    # Terms past a matrix's own index are exact zeros, and the sum starts
+    # from I, so it holds no -0.0 that adding them could flip: no bit moves.
+    for j in range(1, k.max(initial=0)):
+        p = p @ a
+        factorial *= j
+        e = e + p / factorial
+    out[nil] = e
+
+    rest = np.flatnonzero(index == 0)
+    a = ms[rest]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.maximum(0, np.ceil(np.log2(norm / 0.5))).astype(int)
+    e = _taylor_exp(a / (2.0**squarings)[:, None, None], 16)
+    # Step j squares only the matrices with more than j squarings.
+    for j in range(squarings.max(initial=0)):
+        sq = np.flatnonzero(squarings > j)
+        e[sq] = e[sq] @ e[sq]
+    out[rest] = e
+    return out.reshape(m.shape)
 
 
 def solve_sylvester(a, b, q) -> np.ndarray:

@@ -113,7 +113,7 @@ class TestExponentRecipe:
         stack = np.array([(0.4, 0.9), (-0.3, 0.9), (0.4, 0.2)])
         assert np.array_equal(rec.exp_value(stack)[0], rec.exp_value(stack[:1])[0])
 
-    def test_one_exponential_per_coordinate_value(self, monkeypatch):
+    def test_one_exponential_per_generator(self, monkeypatch):
         rec = schrodinger_recipe(np.array([[1j, 1.0], [0.0, 1j]], dtype=complex))
         mat_exp, calls = linalg.mat_exp, []
 
@@ -124,7 +124,13 @@ class TestExponentRecipe:
         monkeypatch.setattr(linalg, "mat_exp", counting)
         grid = np.array([(x, t) for x in (0.1, 0.2, 0.3) for t in (-0.5, 0.5)])
         assert rec.exp_value(grid).shape == (6, 2, 2)
-        assert len(calls) == 3 + 2
+        # one stacked call per generator, over its coordinate's distinct values
+        assert [m.shape for m in calls] == [(3, 2, 2), (2, 2, 2)]
+        for m, values, g in zip(calls, ([0.1, 0.2, 0.3], [-0.5, 0.5]), rec.generators):
+            assert np.array_equal(m, np.array(values)[:, None, None] * g)
+        calls.clear()
+        assert rec.exp_value(np.zeros((0, 2))).shape == (0, 2, 2)
+        assert [m.shape for m in calls] == [(0, 2, 2), (0, 2, 2)]
 
 
 class TestPiBlock:

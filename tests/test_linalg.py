@@ -68,12 +68,59 @@ class TestMatExp:
         assert linalg.fro(prod - np.eye(4)) <= 1e-10
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            linalg.mat_exp(np.zeros((2, 3)))
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(ValueError, match="square"):
+                linalg.mat_exp(np.zeros(shape))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             linalg.mat_exp(np.array([[np.inf, 0], [0, 0]]))
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.mat_exp(stack)
+
+    def test_stack_is_bitwise_equal_to_each_matrix(self):
+        rng = np.random.default_rng(31)
+        dense = random_complex(rng, 2, 2)
+        dense = dense / np.linalg.norm(dense, 1)
+        singular_line = np.array([[1j, 2.0], [0.0, 1j]])
+        dsi_nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        values = np.array([0.0, -0.7, 1.3])
+        stack = np.concatenate(
+            [
+                # ||m||_1 from 1/4 to 64: squaring counts 0 to 7
+                np.array([2.0**k * dense for k in range(-2, 7)]),
+                np.zeros((1, 2, 2)),
+                np.triu(random_complex(rng, 1, 2, 2), k=1),
+                np.array([[[1.0, -1.0], [1.0, -1.0]]]),
+                values[:, None, None] * singular_line,
+                values[:, None, None] * dsi_nilpotent,
+                values[:, None, None] * -dsi_nilpotent,
+            ]
+        )
+        got = linalg.mat_exp(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            assert e.tobytes() == linalg.mat_exp(m).tobytes()
+        assert np.array_equal(got[-5], np.eye(2) - 0.7 * dsi_nilpotent)
+
+    def test_stack_of_nilpotents_sums_each_to_its_own_index(self):
+        rng = np.random.default_rng(37)
+        # strictly upper triangular 4x4, 3x3 in a corner, with only the
+        # superdiagonals from the second on, and zero: indices 4, 3, 2 and 1
+        stack = np.array([np.triu(random_complex(rng, 4, 4), k=k) for k in (1, 1, 2, 4)])
+        stack[1, :, 3] = 0.0
+        got = linalg.mat_exp(stack.reshape(2, 2, 4, 4))
+        assert got.shape == (2, 2, 4, 4)
+        for m, e in zip(stack, got.reshape(-1, 4, 4)):
+            assert e.tobytes() == linalg.mat_exp(m).tobytes()
+        assert np.array_equal(got[1, 1], np.eye(4))
+
+    def test_empty_inputs(self):
+        for shape in ((0, 0), (0, 3, 3), (4, 0, 0)):
+            got = linalg.mat_exp(np.zeros(shape))
+            assert got.shape == shape and got.dtype == complex
 
 
 class TestSolveSylvester:
