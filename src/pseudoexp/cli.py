@@ -206,16 +206,18 @@ def _check_not_config(config_path: str, out_path: str) -> None:
 # -- output writers ----------------------------------------------------------
 
 
-def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> list:
+def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> tuple[list, list]:
     """(point, values of the named fields, or None where S is singular) at
-    every grid point; the fields are evaluated once, for all points in one
-    call."""
+    every grid point, and each named field's matrix shape; the fields are
+    evaluated once, for all points in one call, so the shapes are known
+    also where every point is singular."""
     values, ok = spec.field_values(scenario, grid.stacked())
     index = [spec.fields.index(name) for name in names]
-    return [
+    rows = [
         (point, [values[i][k] for i in index] if ok[k] else None)
         for k, point in enumerate(grid.points())
     ]
+    return rows, [values[i].shape[1:] for i in index]
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -224,13 +226,7 @@ def _encode_matrix(m: np.ndarray) -> list:
     ]
 
 
-def _write_csv(path: Path, grid: verify.Grid, names: list, rows: list) -> None:
-    shapes = next(
-        ([np.atleast_2d(v).shape for v in values] for _, values in rows if values is not None),
-        None,
-    )
-    if shapes is None:
-        raise ConstructionError("every grid point is singular; nothing to export")
+def _write_csv(path: Path, grid: verify.Grid, names: list, rows: list, shapes: list) -> None:
     header = [ax.name for ax in grid.axes]
     for name, (n_rows, n_cols) in zip(names, shapes):
         for i in range(n_rows):
@@ -289,7 +285,7 @@ def _cmd_run(path: str) -> int:
     # Looked up at call time, so a rebinding of the module attribute takes effect.
     report = module.verify_scenario(scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy)
 
-    rows = _dump_rows(spec, scenario, grid, fields)
+    rows, shapes = _dump_rows(spec, scenario, grid, fields)
     dump_path = Path(out_path)
     report_path = dump_path.with_suffix(".report.json")
     payload = {
@@ -301,7 +297,7 @@ def _cmd_run(path: str) -> int:
     }
     try:
         if fmt == "csv":
-            _write_csv(dump_path, grid, fields, rows)
+            _write_csv(dump_path, grid, fields, rows, shapes)
         else:
             _write_json(dump_path, grid, fields, rows)
         report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

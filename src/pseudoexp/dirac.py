@@ -222,10 +222,9 @@ def evaluator(
         view = sc.family.at(points)
         w, wt, wy, v = view.w(), view.w((0,)), view.w((1,)), _potential(view)
         channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
-        (wt_fd,), ok_t = verify.fd_partial(wave_fn, points, 0, (1,), h=h, accuracy=accuracy)
-        (wy_fd,), ok_y = verify.fd_partial(wave_fn, points, 1, (1,), h=h, accuracy=accuracy)
+        (wt_fd, wy_fd), ok_fd = verify.fd_partial(wave_fn, points, [(0, 1), (1, 1)], h=h, accuracy=accuracy)
         channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
-        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), view.ok & ok_t & ok_y
+        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), view.ok & ok_fd
 
     return evaluate
 

@@ -207,9 +207,8 @@ def evaluator(
     every point: the analytic premises and the FD residuals of the
     evolution equation and the two first-order coupling equations.
 
-    The FD channels difference one tuple field (u, q1, q2, u* u, u u*):
-    one call along x for orders 1 and 2, one along y for orders 1 and 2,
-    and one along t for order 1.
+    The FD channels difference one tuple field (u, q1, q2, u* u, u u*) in
+    one FD call per sweep: orders 1 and 2 along x and y, order 1 along t.
     """
 
     def fd_fields(p):
@@ -221,9 +220,9 @@ def evaluator(
         u, q1, q2 = _fields_uq(sc, view)
         channels, scale = _premise_residuals(sc, view)
         scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
-        (d_x, d_xx), ok_x = verify.fd_partial(fd_fields, points, X, (1, 2), h=h, accuracy=accuracy)
-        (d_y, d_yy), ok_y = verify.fd_partial(fd_fields, points, Y, (1, 2), h=h, accuracy=accuracy)
-        (d_t,), ok_t = verify.fd_partial(fd_fields, points, T, (1,), h=h, accuracy=accuracy)
+        (d_x, d_xx, d_y, d_yy, d_t), ok_fd = verify.fd_partial(
+            fd_fields, points, [(X, 1), (X, 2), (Y, 1), (Y, 2), (T, 1)], h=h, accuracy=accuracy
+        )
         _, q1_x, q2_x, usu_x, uus_x = d_x
         _, q1_y, q2_y, usu_y, uus_y = d_y
         evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
@@ -232,7 +231,7 @@ def evaluator(
         channels["evolution_fd"] = linalg.fro(evolution)
         channels["coupling1_fd"] = linalg.fro(coupling1)
         channels["coupling2_fd"] = linalg.fro(coupling2)
-        return (channels, scale), view.ok & ok_x & ok_y & ok_t
+        return (channels, scale), view.ok & ok_fd
 
     return evaluate
 

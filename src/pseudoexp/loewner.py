@@ -178,11 +178,9 @@ def evaluator(
 
     def evaluate(points):
         (channels, scale, ell), ok = _analytic_residuals(sc, points)
-        (psi_x,), ok_x = verify.fd_partial(psi_fn, points, 0, (1,), h=h, accuracy=accuracy)
-        (psi_y,), ok_y = verify.fd_partial(psi_fn, points, 1, (1,), h=h, accuracy=accuracy)
-        ok = ok & ok_x & ok_y
+        (psi_x, psi_y), ok_fd = verify.fd_partial(psi_fn, points, [(0, 1), (1, 1)], h=h, accuracy=accuracy)
         channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
-        return (channels, scale), ok
+        return (channels, scale), ok & ok_fd
 
     return evaluate
 

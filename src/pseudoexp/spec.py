@@ -38,14 +38,18 @@ __all__ = [
 def parse_complex(value, name: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be a number or [re, im] pair")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError:
+        # An integer literal too large for a float.
+        raise ConfigError(f"{name} is beyond the float range") from None
     raise ConfigError(f"{name} must be a number or [re, im] pair")
 
 

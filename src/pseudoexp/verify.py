@@ -6,8 +6,9 @@ between the two paths certifies both. Fields and residuals are evaluated
 for a whole grid at once: functions take an (N, nvars) array of points and
 return stacked values paired with an (N,) mask, False at points where S is
 singular. Masking is contagious through any stencil that touches such a
-point. ``fd_partial`` evaluates the field once per differenced variable,
-on the shifted copies of the grid for all its stencil offsets at once.
+point. ``fd_partial`` makes one FD call per sweep: it evaluates the field
+once, on the copies of the grid shifted along every differenced variable
+by every stencil offset, stacked together.
 """
 
 from __future__ import annotations
@@ -111,22 +112,21 @@ MaskedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 def fd_partial(
     f: MaskedFn,
     points: np.ndarray,
-    variable: int,
-    orders: Sequence[int],
+    derivatives: Sequence[tuple[int, int]],
     h: float = DEFAULT_H,
     accuracy: int = DEFAULT_ACCURACY,
 ) -> tuple[tuple, np.ndarray]:
-    """Central-difference d^k f / d variable^k at stacked points, for each
-    order k in ``orders``.
+    """Central-difference d^k f / d v^k at stacked points, for each
+    ``(v, k)`` pair in ``derivatives``.
 
-    Calls ``f`` once, on the copies of ``points`` shifted by each offset of
-    the requested stencils, stacked end to end in increasing offset order.
-    ``f`` may return an array or a tuple of arrays; each derivative comes
-    back in the same form. Returns the derivatives, one per order, and
-    their mask: a point is masked when any of its stencil points is.
+    Calls ``f`` once, on one stack of the copies of ``points`` shifted by
+    each ``(variable, offset)`` the requested stencils need, end to end in
+    sorted order. ``f`` may return an array or a tuple of arrays; each
+    derivative comes back in the same form, in the order asked. Returns the
+    derivatives and one mask: a point is masked when any of its copies is.
     """
     stencils = []
-    for order in orders:
+    for _, order in derivatives:
         try:
             stencils.append(_STENCILS[(order, accuracy)])
         except KeyError:
@@ -135,26 +135,30 @@ def fd_partial(
         raise ValueError("step h must be positive")
     points = np.asarray(points, dtype=float)
     count = len(points)
-    offsets = sorted({offset for stencil in stencils for offset, _ in stencil})
-    shifted = np.tile(points, (len(offsets), 1))
-    shifted[:, variable] = np.concatenate([points[:, variable] + offset * h for offset in offsets])
+    shifts = sorted(
+        {(variable, offset) for (variable, _), stencil in zip(derivatives, stencils) for offset, _ in stencil}
+    )
+    start = {shift: k * count for k, shift in enumerate(shifts)}
+    shifted = np.tile(points, (len(shifts), 1))
+    for (variable, offset), first in start.items():
+        shifted[first : first + count, variable] += offset * h
     values, good = f(shifted)
-    ok = np.asarray(good, dtype=bool).reshape(len(offsets), count).all(axis=0)
-    start = {offset: k * count for k, offset in enumerate(offsets)}
+    ok = np.asarray(good, dtype=bool).reshape(len(shifts), count).all(axis=0)
 
-    def derivative(value, stencil, order):
+    def derivative(value, variable, stencil, order):
         value = np.asarray(value, dtype=complex)
         total = None
         for offset, coeff in stencil:
-            contrib = coeff * value[start[offset] : start[offset] + count]
+            first = start[(variable, offset)]
+            contrib = coeff * value[first : first + count]
             total = contrib if total is None else total + contrib
         return total / h**order
 
-    derivatives = tuple(
-        _each_field(values, lambda v: derivative(v, stencil, order))
-        for stencil, order in zip(stencils, orders)
+    result = tuple(
+        _each_field(values, lambda v: derivative(v, variable, stencil, order))
+        for (variable, order), stencil in zip(derivatives, stencils)
     )
-    return derivatives, ok
+    return result, ok
 
 
 def _each_field(values, fn: Callable):

@@ -59,12 +59,14 @@ def _counting_solves(monkeypatch):
 
 
 # Solves per sweep: one per derivative of Y = S^-1 Pi the analytic
-# channels need, plus one per differenced variable, whose field call (W and
-# Q together for Schrodinger's x call) needs Y alone.
-SOLVES_PER_SWEEP = {"dirac": 5, "dsi": 4, "gnoe": 4, "loewner": 4, "schrodinger": 6}
-# Views per sweep: one on the grid, one per differenced variable. Loewner
-# is not a pseudo-exponential family.
-VIEWS_PER_SWEEP = {"dirac": 3, "dsi": 4, "gnoe": 4, "loewner": 0, "schrodinger": 3}
+# channels need, plus one for the one FD call per sweep, whose field call
+# (W and Q together for Schrodinger) needs Y alone. Loewner shares one
+# solve for Psi and L, one for Psi_x and Psi_y, and makes one for the FD
+# call.
+SOLVES_PER_SWEEP = {"dirac": 4, "dsi": 2, "gnoe": 2, "loewner": 3, "schrodinger": 5}
+# Views per sweep: one on the grid, one for the FD call. Loewner is not a
+# pseudo-exponential family.
+VIEWS_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 0, "schrodinger": 2}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)

@@ -102,6 +102,34 @@ class TestRun:
         assert report["report"]["masked_points"] == 4
         assert len(report["report"]["mask"]) == 4
 
+    # S = C E R E* C* has rank 1 at every point, so the whole grid is
+    # masked: the run fails (exit 1) in either format and still writes the
+    # dump and the report, the CSV with every column of the fields' shapes.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_singular_at_every_point(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(
+            tmp_path,
+            params={"builder": "general", "a": [[1]], "chat": [[1]], "c": [[1], [1]], "s0": [[0, 0], [0, 0]]},
+            output={"fields": ["potential", "wave"], "format": fmt, "path": f"dump.{fmt}"},
+        )
+        assert cli.main(["run", str(path)]) == 1
+        report = json.loads((tmp_path / "dump.report.json").read_text())
+        assert report["report"]["masked_points"] == report["report"]["total_points"] == 9
+        assert report["report"]["passed"] is False
+        dump = (tmp_path / f"dump.{fmt}").read_text()
+        if fmt == "json":
+            assert all(record["singular"] for record in json.loads(dump)["points"])
+            return
+        header, *rows = dump.splitlines()
+        columns = ["potential[0][0]", "wave[0][0]", "wave[0][1]"]
+        assert header.split(",") == ["x", "t", *(f"{c}.{p}" for c in columns for p in ("re", "im")), "singular"]
+        assert len(rows) == 9
+        for row in rows:
+            cells = row.split(",")
+            assert cells[-1] == "1"
+            assert cells[2:-1] == [""] * 6
+
     def test_json_dump_round_trips_exactly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = write_config(

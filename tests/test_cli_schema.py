@@ -129,3 +129,30 @@ def test_builder_schema(tmp_path, capsys, family, builder):
     if builder == "random":
         assert _validate(tmp_path, family, params) == 2
     capsys.readouterr()
+
+
+# An integer literal beyond the float range, in a matrix entry or in an
+# [re, im] pair, exits 2 with a config message, not with the OverflowError
+# of converting it, and writes nothing.
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ({"builder": "general", "a": [[10**400]], "chat": [[1]]}, "a[0][0]"),
+        ({"builder": "rational", "mu0": [1, 10**400]}, "mu0"),
+    ],
+    ids=["matrix-entry", "re-im-pair"],
+)
+def test_number_beyond_float_range(tmp_path, monkeypatch, capsys, command, params, name):
+    monkeypatch.chdir(tmp_path)
+    config = {
+        "family": "schrodinger",
+        "params": params,
+        "grid": [{"name": n, "min": -0.2, "max": 0.2, "count": 2} for n in ("x", "t")],
+        "output": {"fields": ["potential"], "format": "csv", "path": "out.csv"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, str(path)]) == 2
+    assert f"{name} is beyond the float range" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -170,9 +170,8 @@ class TestFields:
             return q2, ok
 
         pts = np.array([(0.2, 0.1, -0.3)])
-        (q2x,), ok_x = verify.fd_partial(q2_fn, pts, 0, (1,))
-        (q2y,), ok_y = verify.fd_partial(q2_fn, pts, 2, (1,))
-        assert ok_x.all() and ok_y.all()
+        (q2x, q2y), ok = verify.fd_partial(q2_fn, pts, [(0, 1), (2, 1)])
+        assert ok.all()
         scale = linalg.fro(q2_fn(pts)[0])
         assert (linalg.fro(q2x + q2y) <= 1e-8 * (1.0 + scale)).all()
 

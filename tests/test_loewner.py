@@ -174,10 +174,10 @@ class TestResiduals:
         assert ok.all()
         # Psi and L share one batched solve, Psi_x and Psi_y another
         assert all(len(s) == len(pts) for s, _ in calls[:2])
-        # plus one batched Psi solve per axis, on the four stencil offsets
-        # of accuracy 4 stacked together
-        assert len(calls) == 4
-        assert [len(s) for s, _ in calls[2:]] == [4 * len(pts)] * 2
+        # plus one batched Psi solve for the FD call, on the four stencil
+        # offsets of accuracy 4 along both axes stacked together
+        assert len(calls) == 3
+        assert len(calls[2][0]) == 8 * len(pts)
         monkeypatch.setattr(linalg, "solve_pivoted", solve)
 
         def psi(points):
@@ -185,8 +185,7 @@ class TestResiduals:
             return psi, ok
 
         (_, ell), _ = eval_loewner(generic_scenario, pts)
-        (psi_x,), _ = verify.fd_partial(psi, pts, 0, (1,))
-        (psi_y,), _ = verify.fd_partial(psi, pts, 1, (1,))
+        (psi_x, psi_y), _ = verify.fd_partial(psi, pts, [(0, 1), (1, 1)])
         fd = psi_x - ell @ psi_y
         assert np.array_equal(channels["system_fd"], linalg.fro(fd))
 

@@ -77,26 +77,26 @@ class TestFdPartial:
         f = times_m(lambda p: np.ones(len(p)))
         for order in (1, 2):
             for acc in (2, 4):
-                (got,), ok = fd_partial(f, at((0.3,)), 0, (order,), h=1e-2, accuracy=acc)
+                (got,), ok = fd_partial(f, at((0.3,)), [(0, order)], h=1e-2, accuracy=acc)
                 assert ok.all()
                 assert np.max(np.abs(got)) <= 1e-10
 
     def test_quadratic_second_derivative(self):
         # x^2 M at x=1: second derivative 2M, order-4 stencil, h=1e-2
         f = times_m(lambda p: p[:, 0] ** 2)
-        (got,), _ = fd_partial(f, at((1.0,)), 0, (2,), h=1e-2, accuracy=4)
+        (got,), _ = fd_partial(f, at((1.0,)), [(0, 2)], h=1e-2, accuracy=4)
         assert np.max(np.abs(got - 2 * M)) <= 1e-8
 
     def test_polynomial_exactness(self):
         # order-4 first-derivative stencil is exact on degree-4 polynomials
         f = times_m(lambda p: p[:, 0] ** 4)
-        (got,), _ = fd_partial(f, at((0.7,)), 0, (1,), h=1e-2, accuracy=4)
+        (got,), _ = fd_partial(f, at((0.7,)), [(0, 1)], h=1e-2, accuracy=4)
         want = 4 * 0.7**3 * M
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_order2_accuracy2_first_derivative(self):
         f = times_m(lambda p: p[:, 0] ** 2)
-        (got,), _ = fd_partial(f, at((1.5,)), 0, (1,), h=1e-3, accuracy=2)
+        (got,), _ = fd_partial(f, at((1.5,)), [(0, 1)], h=1e-3, accuracy=2)
         assert np.max(np.abs(got - 3.0 * M)) <= 1e-9
 
     def test_convergence_slope_is_four(self):
@@ -106,14 +106,14 @@ class TestFdPartial:
         hs = [1e-1, 1e-2, 1e-3]
         errs = []
         for h in hs:
-            (got,), _ = fd_partial(times_m(lambda p: np.exp(3.0 * p[:, 0])), at((x0,)), 0, (1,), h=h, accuracy=4)
+            (got,), _ = fd_partial(times_m(lambda p: np.exp(3.0 * p[:, 0])), at((x0,)), [(0, 1)], h=h, accuracy=4)
             errs.append(np.max(np.abs(got - exact)))
         slope = np.polyfit(np.log10(hs), np.log10(errs), 1)[0]
         assert abs(slope - 4.0) <= 0.3
 
     def test_variable_selection(self):
         f = times_m(lambda p: p[:, 0] + 10 * p[:, 1])
-        (got,), _ = fd_partial(f, at((0.0, 0.0)), 1, (1,), h=1e-3)
+        (got,), _ = fd_partial(f, at((0.0, 0.0)), [(1, 1)], h=1e-3)
         assert np.max(np.abs(got - 10 * M)) <= 1e-9
 
     def test_masking_contagion(self):
@@ -121,12 +121,12 @@ class TestFdPartial:
             return points[:, 0, None, None] * M, np.abs(points[:, 0] - 0.01) >= 1e-12
 
         # stencil at 0.0 with h=1e-2 touches 0.01 -> masked; far away -> fine
-        (got,), ok = fd_partial(f, at((0.0,), (0.5,)), 0, (1,), h=1e-2, accuracy=2)
+        (got,), ok = fd_partial(f, at((0.0,), (0.5,)), [(0, 1)], h=1e-2, accuracy=2)
         assert not ok[0]
         assert ok[1]
         assert np.max(np.abs(got[1] - M)) <= 1e-10
 
-    def test_one_call_per_variable(self):
+    def test_one_call_for_two_variables(self):
         shifts = []
 
         def f(points):
@@ -134,22 +134,40 @@ class TestFdPartial:
             return times_m(lambda p: p[:, 0])(points)
 
         base = at((0.1, 1.0), (0.2, 2.0), (0.3, 3.0))
-        fd_partial(f, base, 0, (1, 2), h=1e-2, accuracy=4)
+        fd_partial(f, base, [(1, 1), (0, 1), (0, 2)], h=1e-2, accuracy=4)
         assert len(shifts) == 1
-        stacked = shifts[0].reshape(5, len(base), 2)
-        for shifted, offset in zip(stacked, (-2, -1, 0, 1, 2)):
-            assert np.array_equal(shifted[:, 0], base[:, 0] + offset * 1e-2)
-            assert np.array_equal(shifted[:, 1], base[:, 1])
+        # One block per (variable, offset), in sorted order: offset 0 along
+        # x, and no offset-0 block along y, which only a first derivative
+        # asks for.
+        blocks = [(0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (1, -2), (1, -1), (1, 1), (1, 2)]
+        stacked = shifts[0].reshape(len(blocks), len(base), 2)
+        for shifted, (variable, offset) in zip(stacked, blocks):
+            assert np.array_equal(shifted[:, variable], base[:, variable] + offset * 1e-2)
+            assert np.array_equal(shifted[:, 1 - variable], base[:, 1 - variable])
 
     def test_orders_from_one_call_match_single_orders(self):
-        f = times_m(lambda p: np.sin(p[:, 0]) * np.exp(p[:, 1]))
-        base = at((0.1, 1.0), (0.2, -0.5), (-0.7, 0.3))
-        for acc in (2, 4):
-            (d1, d2), ok = fd_partial(f, base, 0, (1, 2), h=1e-2, accuracy=acc)
-            (one,), ok_one = fd_partial(f, base, 0, (1,), h=1e-2, accuracy=acc)
-            (two,), ok_two = fd_partial(f, base, 0, (2,), h=1e-2, accuracy=acc)
-            assert np.array_equal(d1, one) and np.array_equal(d2, two)
-            assert np.array_equal(ok, ok_one & ok_two)
+        # Masked where x2 = 0.52, which lies on the x2 stencils of the first
+        # point at accuracy 4 and of the third at both accuracies.
+        def f(points):
+            value, _ = times_m(lambda p: np.sin(p[:, 0]) * np.exp(p[:, 1]) + p[:, 2] ** 3)(points)
+            return value, np.abs(points[:, 2] - 0.52) >= 1e-12
+
+        base = at((0.1, 1.0, 0.5), (0.2, -0.5, 0.0), (-0.7, 0.3, 0.51))
+        pairs = [(0, 1), (0, 2), (1, 1), (2, 2), (1, 2), (2, 1)]
+        for acc, want_ok in ((2, [True, True, False]), (4, [False, True, False])):
+            got, ok = fd_partial(f, base, pairs, h=1e-2, accuracy=acc)
+            assert len(got) == len(pairs)
+            ok_all = np.ones(len(base), dtype=bool)
+            for derivative, pair in zip(got, pairs):
+                (one,), ok_one = fd_partial(f, base, [pair], h=1e-2, accuracy=acc)
+                assert np.array_equal(derivative, one), (pair, acc)
+                ok_all &= ok_one
+            assert np.array_equal(ok, ok_all)
+            assert ok.tolist() == want_ok
+            # The order of the pairs changes neither the derivatives nor the mask.
+            back, ok_back = fd_partial(f, base, pairs[::-1], h=1e-2, accuracy=acc)
+            assert all(np.array_equal(a, b) for a, b in zip(back[::-1], got))
+            assert np.array_equal(ok_back, ok)
 
     def test_tuple_field_matches_each_element(self):
         first = times_m(lambda p: p[:, 0] ** 3)
@@ -160,18 +178,18 @@ class TestFdPartial:
             return (a, b), ok
 
         base = at((0.4,), (-1.1,))
-        (d1, d2), ok = fd_partial(both, base, 0, (1, 2), h=1e-2)
+        (d1, d2), ok = fd_partial(both, base, [(0, 1), (0, 2)], h=1e-2)
         assert ok.all()
         for k, f in enumerate((first, second)):
-            (one, two), _ = fd_partial(f, base, 0, (1, 2), h=1e-2)
+            (one, two), _ = fd_partial(f, base, [(0, 1), (0, 2)], h=1e-2)
             assert np.array_equal(d1[k], one) and np.array_equal(d2[k], two)
 
     def test_bad_stencil_request(self):
         f = times_m(lambda p: np.ones(len(p)))
         with pytest.raises(ValueError, match="stencil"):
-            fd_partial(f, at((0.0,)), 0, (3,))
+            fd_partial(f, at((0.0,)), [(0, 3)])
         with pytest.raises(ValueError, match="positive"):
-            fd_partial(f, at((0.0,)), 0, (1,), h=0.0)
+            fd_partial(f, at((0.0,)), [(0, 1)], h=0.0)
 
 
 def _grid1d(count=5):
