@@ -26,16 +26,17 @@ into one Lyapunov equation per channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
-from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector
+from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector, value_only
 
 __all__ = [
     "SIGMA2",
@@ -55,6 +56,7 @@ SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
 CONSTRAINT_RTOL = 1e-10
 VAR_NAMES = ("t", "y")
+T, Y = 0, 1
 
 
 @dataclass(frozen=True)
@@ -179,54 +181,40 @@ def build_two_channel(
     return build_dirac(a1, a2, chat, c=c, s0=s0, r=r)
 
 
-def _potential(view) -> np.ndarray:
-    q = view.q()
-    v = 1j * (q @ SIGMA2 - SIGMA2 @ q)
-    return (v + linalg.adjoint(v)) / 2.0
+def _sources(sc: DiracScenario, points: np.ndarray):
+    """V and Psi from one view of the family at stacked points, with the
+    mask of points where S is not singular."""
+    view = sc.family.at(points)
+
+    def potential():
+        q = view.q()
+        v = 1j * (q @ SIGMA2 - SIGMA2 @ q)
+        return (v + linalg.adjoint(v)) / 2.0
+
+    return {"potential": value_only(potential), "wave": functools.cache(view.w)}, view.ok
 
 
 @pointwise(masked=True)
 def potential(sc: DiracScenario, points: np.ndarray):
     """V = i(Q sigma2 - sigma2 Q), Hermitian, at stacked points, with the
     mask of points where S is not singular."""
-    view = sc.family.at(points)
-    return _potential(view), view.ok
+    fields, ok = _sources(sc, points)
+    return fields["potential"](()), ok
 
 
 @pointwise(masked=True)
 def wave(sc: DiracScenario, points: np.ndarray):
     """Psi = Pi* S^-1 at stacked points, with the mask."""
-    view = sc.family.at(points)
-    return view.w(), view.ok
+    fields, ok = _sources(sc, points)
+    return fields["wave"](()), ok
 
 
-def _fields(sc: DiracScenario, points: np.ndarray):
-    """(V, Psi) at stacked points from one view, with the mask."""
-    view = sc.family.at(points)
-    return (_potential(view), view.w()), view.ok
+def _equations(sc: DiracScenario, d):
+    return {"wave": d("wave", T) + SIGMA2 @ d("wave", Y) - 1j * d("potential") @ d("wave")}
 
 
-def evaluator(
-    sc: DiracScenario,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-):
-    """The sweep's residual function of stacked points: the wave equation
-    with analytic derivatives (``wave_analytic``) and with FD stencils on
-    Psi (``wave_fd``), both at every point."""
-
-    def wave_fn(p):
-        return wave(sc, p)
-
-    def evaluate(points):
-        view = sc.family.at(points)
-        w, wt, wy, v = view.w(), view.w((0,)), view.w((1,)), _potential(view)
-        channels = {"wave_analytic": linalg.fro(wt + SIGMA2 @ wy - 1j * v @ w)}
-        (wt_fd, wy_fd), ok_fd = verify.fd_partial(wave_fn, points, [(0, 1), (1, 1)], h=h, accuracy=accuracy)
-        channels["wave_fd"] = linalg.fro(wt_fd + SIGMA2 @ wy_fd - 1j * v @ w)
-        return (channels, np.maximum(linalg.fro(w), linalg.fro(v))), view.ok & ok_fd
-
-    return evaluate
+def _checks(sc: DiracScenario, f):
+    return {}, np.maximum(linalg.fro(f["wave"](())), linalg.fro(f["potential"](())))
 
 
 def random_scenario(rng: np.random.Generator, max_channel: int = 2) -> DiracScenario:
@@ -252,9 +240,10 @@ SPEC = FamilySpec(
     var_names=VAR_NAMES,
     grid=(9, 0.8),
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    evaluator=evaluator,
+    sources=_sources,
+    equations=_equations,
+    checks=_checks,
     fields=("potential", "wave"),
-    field_values=_fields,
     builders={
         "general": Builder(
             "build_dirac",
@@ -270,4 +259,5 @@ SPEC = FamilySpec(
     },
 )
 default_grid = SPEC.grid_function()
+evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -21,19 +21,20 @@ hold. With Q = Pi* S^-1 Pi the fields
     q2 = -u u* / 2 + 2 (dQ/dy)[m1:, m1:] (Hermitian)
 
 solve  i u_t - (u_xx + u_yy)/2 = u q1 - q2 u  together with the two
-first-order coupling equations for q1 and q2. The PDE residuals are
-checked by finite differences only; the premise systems for Pi are checked
+first-order coupling equations for q1 and q2, checked on analytic
+derivatives and on FD stencils; the premises for Pi are checked
 analytically. Nilpotent A_k give fields rational in (x, t, y).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
@@ -162,32 +163,55 @@ def build_rational_dsi(
     return build_dsi(nil, nil, c1, c2, chat1, chat2, s0=s0)
 
 
-def _fields_uq(sc: DsiScenario, view):
-    q, qy = view.q(), view.q((Y,))
-    m1 = sc.m1
-    u = 2.0 * q[:, m1:, :m1]
-    q1 = 0.5 * (linalg.adjoint(u) @ u) - 2.0 * qy[:, :m1, :m1]
-    q2 = -0.5 * (u @ linalg.adjoint(u)) + 2.0 * qy[:, m1:, m1:]
-    return u, q1, q2
+def _product(left, right, deriv: tuple[int, ...]) -> np.ndarray:
+    """d^deriv of left @ right, from the factors' sources, to first order."""
+    if not deriv:
+        return left(()) @ right(())
+    if len(deriv) > 1:
+        raise ValueError(f"no product rule for the derivative {deriv}")
+    return left(deriv) @ right(()) + left(()) @ right(deriv)
+
+
+def _sources(sc: DsiScenario, points: np.ndarray):
+    """u, q1, q2, u* u, u u* and Pi at stacked points, from one view, with
+    the mask."""
+    view, m1 = sc.family.at(points), sc.m1
+    q = functools.cache(view.q)
+
+    @functools.cache
+    def u(deriv):
+        return 2.0 * q(deriv)[:, m1:, :m1]
+
+    def u_adj(deriv):
+        return linalg.adjoint(u(deriv))
+
+    usu = functools.cache(lambda deriv: _product(u_adj, u, deriv))
+    uus = functools.cache(lambda deriv: _product(u, u_adj, deriv))
+    return {
+        "u": u,
+        "q1": functools.cache(lambda deriv: 0.5 * usu(deriv) - 2.0 * q((Y, *deriv))[:, :m1, :m1]),
+        "q2": functools.cache(lambda deriv: -0.5 * uus(deriv) + 2.0 * q((Y, *deriv))[:, m1:, m1:]),
+        "usu": usu,
+        "uus": uus,
+        "Pi": view.pi,
+    }, view.ok
 
 
 @pointwise(masked=True)
 def fields_uq(sc: DsiScenario, points: np.ndarray):
     """(u, q1, q2) at stacked points, with the mask of points where S is
     not singular."""
-    view = sc.family.at(points)
-    return _fields_uq(sc, view), view.ok
+    return SPEC.field_values(sc, points)
 
 
-def _premise_residuals(sc: DsiScenario, view):
+def _premises(sc: DsiScenario, pi):
     j = sc.j_mat
-    pi, pi_x, pi_t, pi_y, pi_yy = (view.pi(d) for d in [(), (X,), (T,), (Y,), (Y, Y)])
     return (
         {
-            "premise_x": linalg.fro(pi_x - pi_y @ j),
-            "premise_t": linalg.fro(pi_t + 1j * pi_yy @ j),
+            "premise_x": linalg.fro(pi((X,)) - pi((Y,)) @ j),
+            "premise_t": linalg.fro(pi((T,)) + 1j * pi((Y, Y)) @ j),
         },
-        1.0 + linalg.fro(pi),
+        1.0 + linalg.fro(pi(())),
     )
 
 
@@ -195,45 +219,22 @@ def _premise_residuals(sc: DsiScenario, view):
 def premise_residuals(sc: DsiScenario, points: np.ndarray):
     """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j, and the
     scale 1 + ||Pi||, at stacked points."""
-    return _premise_residuals(sc, sc.family.at(points))
+    return _premises(sc, sc.family.at(points).pi)
 
 
-def evaluator(
-    sc: DsiScenario,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-):
-    """The sweep's residual function of stacked points. Channels, all at
-    every point: the analytic premises and the FD residuals of the
-    evolution equation and the two first-order coupling equations.
+def _checks(sc: DsiScenario, f):
+    channels, scale = _premises(sc, f["Pi"])
+    fields = (linalg.fro(f[name](())) for name in ("u", "q1", "q2"))
+    return channels, np.maximum.reduce([scale - 1.0, *fields])
 
-    The FD channels difference one tuple field (u, q1, q2, u* u, u u*) in
-    one FD call per sweep: orders 1 and 2 along x and y, order 1 along t.
-    """
 
-    def fd_fields(p):
-        (u, q1, q2), ok = fields_uq(sc, p)
-        return (u, q1, q2, linalg.adjoint(u) @ u, u @ linalg.adjoint(u)), ok
-
-    def evaluate(points):
-        view = sc.family.at(points)
-        u, q1, q2 = _fields_uq(sc, view)
-        channels, scale = _premise_residuals(sc, view)
-        scale = np.maximum.reduce([scale - 1.0, linalg.fro(u), linalg.fro(q1), linalg.fro(q2)])
-        (d_x, d_xx, d_y, d_yy, d_t), ok_fd = verify.fd_partial(
-            fd_fields, points, [(X, 1), (X, 2), (Y, 1), (Y, 2), (T, 1)], h=h, accuracy=accuracy
-        )
-        _, q1_x, q2_x, usu_x, uus_x = d_x
-        _, q1_y, q2_y, usu_y, uus_y = d_y
-        evolution = 1j * d_t[0] - 0.5 * (d_xx[0] + d_yy[0]) - (u @ q1 - q2 @ u)
-        coupling1 = q1_x - q1_y - 0.5 * (usu_y + usu_x)
-        coupling2 = q2_x + q2_y - 0.5 * (uus_y - uus_x)
-        channels["evolution_fd"] = linalg.fro(evolution)
-        channels["coupling1_fd"] = linalg.fro(coupling1)
-        channels["coupling2_fd"] = linalg.fro(coupling2)
-        return (channels, scale), view.ok & ok_fd
-
-    return evaluate
+def _equations(sc: DsiScenario, d):
+    u, q1, q2 = d("u"), d("q1"), d("q2")
+    return {
+        "evolution": 1j * d("u", T) - 0.5 * (d("u", X, X) + d("u", Y, Y)) - (u @ q1 - q2 @ u),
+        "coupling1": d("q1", X) - d("q1", Y) - 0.5 * (d("usu", Y) + d("usu", X)),
+        "coupling2": d("q2", X) + d("q2", Y) - 0.5 * (d("uus", Y) - d("uus", X)),
+    }
 
 
 def random_scenario(rng: np.random.Generator, max_dim: int = 2) -> DsiScenario:
@@ -275,13 +276,17 @@ SPEC = FamilySpec(
     tolerances={
         "premise_x": 1e-12,
         "premise_t": 1e-12,
+        "evolution_analytic": 1e-9,
+        "coupling1_analytic": 1e-9,
+        "coupling2_analytic": 1e-9,
         "evolution_fd": 1e-5,
         "coupling1_fd": 1e-5,
         "coupling2_fd": 1e-5,
     },
-    evaluator=evaluator,
+    sources=_sources,
+    equations=_equations,
+    checks=_checks,
     fields=("u", "q1", "q2"),
-    field_values=fields_uq,
     builders={
         "general": Builder(
             "build_dsi",
@@ -302,4 +307,5 @@ SPEC = FamilySpec(
     },
 )
 default_grid = SPEC.grid_function()
+evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -143,14 +143,6 @@ def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(deriv))
 
 
-def _each(derivs, fn: Callable):
-    """``fn`` of one multi-index (a tuple of variable indices), or the tuple
-    of ``fn`` over a list of multi-indices."""
-    if all(isinstance(d, (int, np.integer)) for d in derivs):
-        return fn(_canonical(derivs))
-    return tuple(fn(_canonical(d)) for d in derivs)
-
-
 @dataclass(frozen=True)
 class PiBlock:
     """One factor block C exp(M(vars)) chat."""
@@ -165,11 +157,11 @@ class PiBlock:
         if self.c.shape[1] != self.recipe.dim or self.chat.shape[0] != self.recipe.dim:
             raise ValueError("C and chat must conform with the recipe dimension")
 
-    def value(self, points: np.ndarray, derivs=()):
-        """The block or its derivatives at stacked points, for one
-        multi-index or a list of them."""
+    def value(self, points: np.ndarray) -> Callable[[Sequence[int]], np.ndarray]:
+        """The function of a multi-index giving that derivative of the block
+        at stacked points; exp(M) is formed once, each derivative once."""
         e = self.recipe.exp_value(points)
-        return _each(derivs, lambda deriv: self.at(e, deriv))
+        return functools.cache(lambda deriv: self.at(e, _canonical(deriv)))
 
     def at(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
         """d^deriv of the block, given exp(M) at stacked points."""

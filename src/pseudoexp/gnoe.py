@@ -21,12 +21,13 @@ needs no second-order terms. The reduction holds bitwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
@@ -176,43 +177,38 @@ def build_gnoe(
     return GnoeScenario(a, chat, c, d_diag, dtilde_diag, b_diag, r, s0, node, family)
 
 
+def _sources(sc: GnoeScenario, points: np.ndarray):
+    """xi and Pi with their derivatives, from one view of the family at
+    stacked points, with the mask of points where S is not singular."""
+    view = sc.family.at(points)
+    return {"xi": functools.cache(lambda deriv: view.q(deriv) @ sc.b_mat), "Pi": view.pi}, view.ok
+
+
 @pointwise(masked=True)
 def xi(sc: GnoeScenario, points: np.ndarray):
     """xi = Q B at stacked points, with the mask of points where S is not
     singular."""
-    view = sc.family.at(points)
-    return view.q() @ sc.b_mat, view.ok
+    fields, ok = _sources(sc, points)
+    return fields["xi"](()), ok
 
 
-def _fields(sc: GnoeScenario, points: np.ndarray):
-    """(xi,) at stacked points, with the mask."""
-    f, ok = xi(sc, points)
-    return (f,), ok
-
-
-def _system_form(
-    d: np.ndarray,
-    dt: np.ndarray,
-    f: np.ndarray,
-    f_x: np.ndarray,
-    f_t: np.ndarray,
-    f_y: np.ndarray,
-) -> np.ndarray:
-    lhs = (d @ f_t - f_t @ d) - (dt @ f_x - f_x @ dt)
-    com_d = d @ f - f @ d
+def _equations(sc: GnoeScenario, d):
+    dm, dt, f = sc.d_mat, sc.dtilde_mat, d("xi")
+    f_t, f_x, f_y = d("xi", T), d("xi", X), d("xi", Y)
+    lhs = (dm @ f_t - f_t @ dm) - (dt @ f_x - f_x @ dt)
+    com_d = dm @ f - f @ dm
     com_dt = dt @ f - f @ dt
-    rhs = (com_d @ com_dt - com_dt @ com_d) + d @ f_y @ dt - dt @ f_y @ d
-    return lhs - rhs
+    rhs = (com_d @ com_dt - com_dt @ com_d) + dm @ f_y @ dt - dt @ f_y @ dm
+    return {"system": lhs - rhs}
 
 
-def _premise_residuals(sc: GnoeScenario, view):
-    pi, pi_x, pi_t, pi_y = (view.pi(d) for d in [(), (X,), (T,), (Y,)])
+def _premises(sc: GnoeScenario, pi):
     return (
         {
-            "premise_x": linalg.fro(pi_x - pi_y @ sc.d_mat),
-            "premise_t": linalg.fro(pi_t - pi_y @ sc.dtilde_mat),
+            "premise_x": linalg.fro(pi((X,)) - pi((Y,)) @ sc.d_mat),
+            "premise_t": linalg.fro(pi((T,)) - pi((Y,)) @ sc.dtilde_mat),
         },
-        1.0 + linalg.fro(pi),
+        1.0 + linalg.fro(pi(())),
     )
 
 
@@ -220,40 +216,14 @@ def _premise_residuals(sc: GnoeScenario, view):
 def premise_residuals(sc: GnoeScenario, points: np.ndarray):
     """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
     scale 1 + ||Pi||, at stacked points."""
-    return _premise_residuals(sc, sc.family.at(points))
+    return _premises(sc, sc.family.at(points).pi)
 
 
-def evaluator(
-    sc: GnoeScenario,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-):
-    """The sweep's residual function of stacked points. Channels, all at
-    every point: the system with analytic first derivatives of xi
-    (``system_analytic``) and with FD stencils on xi (``system_fd``), the
-    two premises and the reduction xi* = B xi B."""
-
-    def xi_fn(p):
-        return xi(sc, p)
-
-    def evaluate(points):
-        view = sc.family.at(points)
-        f, f_x, f_t, f_y = (view.q(d) @ sc.b_mat for d in [(), (X,), (T,), (Y,)])
-        scale = np.maximum.reduce([linalg.fro(f), linalg.fro(f_x), linalg.fro(f_t), linalg.fro(f_y)])
-        channels, _ = _premise_residuals(sc, view)
-        channels["system_analytic"] = linalg.fro(
-            _system_form(sc.d_mat, sc.dtilde_mat, f, f_x, f_t, f_y)
-        )
-        channels["reduction"] = linalg.fro(
-            linalg.adjoint(f) - sc.b_mat @ f @ sc.b_mat
-        )
-        (g_x, g_t, g_y), ok_fd = verify.fd_partial(
-            xi_fn, points, [(X, 1), (T, 1), (Y, 1)], h=h, accuracy=accuracy
-        )
-        channels["system_fd"] = linalg.fro(_system_form(sc.d_mat, sc.dtilde_mat, f, g_x, g_t, g_y))
-        return (channels, scale), view.ok & ok_fd
-
-    return evaluate
+def _checks(sc: GnoeScenario, f):
+    xi, b = f["xi"], sc.b_mat
+    channels, _ = _premises(sc, f["Pi"])
+    channels["reduction"] = linalg.fro(linalg.adjoint(xi(())) - b @ xi(()) @ b)
+    return channels, np.maximum.reduce([linalg.fro(xi(d)) for d in [(), (X,), (T,), (Y,)]])
 
 
 def random_scenario(
@@ -293,9 +263,10 @@ SPEC = FamilySpec(
         "premise_t": 1e-12,
         "reduction": 1e-12,
     },
-    evaluator=evaluator,
+    sources=_sources,
+    equations=_equations,
+    checks=_checks,
     fields=("xi",),
-    field_values=_fields,
     builders={
         "general": Builder(
             "build_gnoe",
@@ -312,4 +283,5 @@ SPEC = FamilySpec(
     },
 )
 default_grid = SPEC.grid_function()
+evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

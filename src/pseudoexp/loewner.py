@@ -20,15 +20,16 @@ at every point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg
 from .errors import ConstructionError
 from .family import ExponentRecipe, PiBlock, pointwise
-from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector
+from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector, value_only
 
 __all__ = [
     "LoewnerScenario",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 VAR_NAMES = ("x", "y")
+X, Y = 0, 1
 DISTINCT_TOL = 1e-8
 
 
@@ -119,20 +121,35 @@ def build_loewner(
     return LoewnerScenario(d_diag=d_diag, lambda1=lam1, lambda2=lam2)
 
 
-def _solve_shared(lam1: np.ndarray, *rhs: np.ndarray):
-    """Lambda_1^-1 B for each right-hand side B, from one elimination of
-    their columns side by side, with the mask."""
-    x, ok = linalg.solve_pivoted(lam1, np.concatenate(rhs, axis=-1))
-    return np.split(x, np.cumsum([b.shape[-1] for b in rhs[:-1]]), axis=-1), ok
+def _sources(sc: LoewnerScenario, points: np.ndarray):
+    """Psi to first order, L, Lambda_1 and Lambda_2 at stacked points, with
+    the mask of points where Lambda_1 is not singular."""
+    lam1, lam2 = sc.lambda1.value(points), sc.lambda2.value(points)
+    psi, ok = linalg.solve_pivoted(lam1(()), lam2(()))
+
+    @functools.cache
+    def psi_xy():
+        # Psi_x and Psi_y from one elimination of their columns side by side.
+        rhs = [lam2((v,)) - lam1((v,)) @ psi for v in (X, Y)]
+        x, _ = linalg.solve_pivoted(lam1(()), np.concatenate(rhs, axis=-1))
+        return np.split(x, 2, axis=-1)
+
+    def solution(deriv):
+        if len(deriv) > 1:
+            raise ValueError(f"no source for the derivative {deriv} of Psi")
+        return psi_xy()[deriv[0]] if deriv else psi
+
+    def coefficient():
+        return linalg.solve_pivoted(lam1(()), sc.d_mat @ lam1(()))[0]
+
+    return {"solution": solution, "coefficient": value_only(coefficient), "Lambda1": lam1, "Lambda2": lam2}, ok
 
 
 @pointwise(masked=True)
 def eval_loewner(sc: LoewnerScenario, points: np.ndarray):
     """(Psi, L) at stacked points, with the mask of points where Lambda_1
     is not singular."""
-    lam1 = sc.lambda1.value(points)
-    (psi, ell), ok = _solve_shared(lam1, sc.lambda2.value(points), sc.d_mat @ lam1)
-    return (psi, ell), ok
+    return SPEC.field_values(sc, points)
 
 
 @pointwise(masked=True)
@@ -146,43 +163,17 @@ def spectrum_deviation(sc: LoewnerScenario, points: np.ndarray):
     return np.max(np.abs(got - want), axis=-1), ok
 
 
-def _analytic_residuals(sc: LoewnerScenario, points: np.ndarray):
-    """Analytic channels, local scale and L at stacked points, with the mask."""
-    lam1, lam1_x, lam1_y = sc.lambda1.value(points, [(), (0,), (1,)])
-    lam2, lam2_x, lam2_y = sc.lambda2.value(points, [(), (0,), (1,)])
-    d_mat = sc.d_mat
-    (psi, ell), ok = _solve_shared(lam1, lam2, d_mat @ lam1)
-    (psi_x, psi_y), _ = _solve_shared(lam1, lam2_x - lam1_x @ psi, lam2_y - lam1_y @ psi)
-    res = psi_x - ell @ psi_y
-    scale = np.maximum(linalg.fro(psi), linalg.fro(ell))
+def _equations(sc: LoewnerScenario, d):
+    return {"system": d("solution", X) - d("coefficient") @ d("solution", Y)}
+
+
+def _checks(sc: LoewnerScenario, f):
+    lam1, lam2, d_mat = f["Lambda1"], f["Lambda2"], sc.d_mat
     channels = {
-        "system_analytic": linalg.fro(res),
-        "premise_1": linalg.fro(lam1_x - d_mat @ lam1_y),
-        "premise_2": linalg.fro(lam2_x - d_mat @ lam2_y),
+        "premise_1": linalg.fro(lam1((X,)) - d_mat @ lam1((Y,))),
+        "premise_2": linalg.fro(lam2((X,)) - d_mat @ lam2((Y,))),
     }
-    return (channels, scale, ell), ok
-
-
-def evaluator(
-    sc: LoewnerScenario,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-):
-    """The sweep's residual function of stacked points. Channels, all at
-    every point: Psi_x = L Psi_y with analytic derivatives
-    (``system_analytic``) and with FD stencils on Psi (``system_fd``), and
-    the two premises."""
-
-    def psi_fn(p):
-        return linalg.solve_pivoted(sc.lambda1.value(p), sc.lambda2.value(p))
-
-    def evaluate(points):
-        (channels, scale, ell), ok = _analytic_residuals(sc, points)
-        (psi_x, psi_y), ok_fd = verify.fd_partial(psi_fn, points, [(0, 1), (1, 1)], h=h, accuracy=accuracy)
-        channels["system_fd"] = linalg.fro(psi_x - ell @ psi_y)
-        return (channels, scale), ok & ok_fd
-
-    return evaluate
+    return channels, np.maximum(linalg.fro(f["solution"](())), linalg.fro(f["coefficient"](())))
 
 
 def random_scenario(
@@ -208,7 +199,7 @@ def random_scenario(
         chat1 = rng.normal(size=(m * width1, m)) + 1j * rng.normal(size=(m * width1, m))
         chat2 = rng.normal(size=(m * width2, n)) + 1j * rng.normal(size=(m * width2, n))
         sc = build_loewner(d, a1, a2, c1, c2, chat1, chat2)
-        smin = np.linalg.svd(sc.lambda1.value(grid), compute_uv=False)[:, -1].min()
+        smin = np.linalg.svd(sc.lambda1.value(grid)(()), compute_uv=False)[:, -1].min()
         if smin >= 0.25:
             return sc
     raise ConstructionError("failed to draw a well-conditioned scenario")
@@ -224,9 +215,10 @@ SPEC = FamilySpec(
         "premise_2": 1e-11,
         "system_fd": 1e-6,
     },
-    evaluator=evaluator,
+    sources=_sources,
+    equations=_equations,
+    checks=_checks,
     fields=("solution", "coefficient"),
-    field_values=eval_loewner,
     builders={
         "general": Builder(
             "build_loewner",
@@ -240,4 +232,5 @@ SPEC = FamilySpec(
     },
 )
 default_grid = SPEC.grid_function()
+evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

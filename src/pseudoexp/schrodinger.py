@@ -17,16 +17,17 @@ sufficient conditions under which S stays positive definite for all (x, t).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import linalg, verify
+from . import linalg
 from .errors import ConstructionError, NoSolutionError
 from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
 from .snode import SMultinode, solve_for_R
-from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real
+from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real, value_only
 
 __all__ = [
     "SchrodingerScenario",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 VAR_NAMES = ("x", "t")
+X, T = 0, 1
 SPECTRUM_MARGIN = 1e-8
 
 
@@ -119,58 +121,36 @@ def build_schrodinger(
     return SchrodingerScenario(node=node, c=c, s0=s0, family=family)
 
 
+def _sources(sc: SchrodingerScenario, points: np.ndarray):
+    """The potential, W and Q from one view of the family at stacked
+    points, with the mask of points where S is not singular."""
+    view = sc.family.at(points)
+    q = functools.cache(view.q)
+    return {"potential": value_only(lambda: -2.0 * q((X,))), "wave": functools.cache(view.w), "Q": q}, view.ok
+
+
 @pointwise(masked=True)
 def potential(sc: SchrodingerScenario, points: np.ndarray):
     """q = -2 dQ/dx, Hermitian, at stacked points, with the mask of points
     where S is not singular."""
-    view = sc.family.at(points)
-    return -2.0 * view.q((0,)), view.ok
+    fields, ok = _sources(sc, points)
+    return fields["potential"](()), ok
 
 
 @pointwise(masked=True)
 def wave(sc: SchrodingerScenario, points: np.ndarray):
     """W = Pi* S^-1 at stacked points, with the mask."""
-    view = sc.family.at(points)
-    return view.w(), view.ok
+    fields, ok = _sources(sc, points)
+    return fields["wave"](()), ok
 
 
-def _fields(sc: SchrodingerScenario, points: np.ndarray):
-    """(q, W) at stacked points from one view, with the mask."""
-    view = sc.family.at(points)
-    return (-2.0 * view.q((0,)), view.w()), view.ok
+def _equations(sc: SchrodingerScenario, d):
+    # The potential is -2 Q_x, so the FD pass differences Q as well.
+    return {"wave": 1j * d("wave", T) + d("wave", X, X) - (-2.0 * d("Q", X)) @ d("wave")}
 
 
-def evaluator(
-    sc: SchrodingerScenario,
-    h: float = verify.DEFAULT_H,
-    accuracy: int = verify.DEFAULT_ACCURACY,
-):
-    """The sweep's residual function of stacked points: i W_t + W_xx - q W
-    with analytic derivatives (``wave_analytic``) and via FD
-    (``wave_fd``), both at every point.
-
-    The FD channel recomputes every derivative in the equation, including
-    the x-derivative inside the potential, by stencils on the raw fields
-    (W, Q), in one FD call per sweep.
-    """
-
-    def w_and_q(p):
-        view = sc.family.at(p)
-        return (view.w(), view.q()), view.ok
-
-    def evaluate(points):
-        view = sc.family.at(points)
-        w, wt, wxx, qt = view.w(), view.w((1,)), view.w((0, 0)), -2.0 * view.q((0,))
-        res = 1j * wt + wxx - qt @ w
-        scale = np.maximum(linalg.fro(w), linalg.fro(qt))
-        channels = {"wave_analytic": linalg.fro(res)}
-        ((wt_fd, _), (_, qx_fd), (wxx_fd, _)), ok_fd = verify.fd_partial(
-            w_and_q, points, [(1, 1), (0, 1), (0, 2)], h=h, accuracy=accuracy
-        )
-        channels["wave_fd"] = linalg.fro(1j * wt_fd + wxx_fd - (-2.0 * qx_fd) @ w)
-        return (channels, scale), view.ok & ok_fd
-
-    return evaluate
+def _checks(sc: SchrodingerScenario, f):
+    return {}, np.maximum(linalg.fro(f["wave"](())), linalg.fro(f["potential"](())))
 
 
 # -- explicit instances ------------------------------------------------------
@@ -406,9 +386,10 @@ SPEC = FamilySpec(
     var_names=VAR_NAMES,
     grid=(9, 0.8),
     tolerances={"wave_analytic": 1e-9, "wave_fd": 1e-6},
-    evaluator=evaluator,
+    sources=_sources,
+    equations=_equations,
+    checks=_checks,
     fields=("potential", "wave"),
-    field_values=_fields,
     builders={
         "general": Builder(
             "build_schrodinger",
@@ -430,4 +411,5 @@ SPEC = FamilySpec(
     },
 )
 default_grid = SPEC.grid_function()
+evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -1,21 +1,27 @@
 """One declaration per solution family.
 
 A ``FamilySpec`` states a family's facts once: its variables, default grid,
-residual channels with their default tolerances, named output fields and
-config builders with their parameter schemas. Each family module derives
-its ``default_grid`` and ``verify_scenario`` from its declaration, and the
-CLI reads the same declaration for its config schema, field dump and
-default tolerances.
+residual channels with their default tolerances, named output fields,
+config builders with their parameter schemas, and three functions. Its
+``sources`` give each field and its derivatives, its ``equations`` write
+each equation once over a derivative source ``d(F, v, ..., v)``, and its
+``checks`` give the channels only analytic derivatives can check. One
+``FamilySpec.evaluator`` reads the equations from the analytic sources and
+from the stencils of one ``verify.fd_partial`` call. Each family module
+derives its ``default_grid``, ``evaluator`` and ``verify_scenario`` from
+its declaration, and the CLI reads the same declaration for its config
+schema, field dump and default tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from . import verify
+from . import linalg, verify
 from .errors import ConfigError
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "parse_real",
     "parse_real_vector",
     "parse_vector",
+    "value_only",
 ]
 
 
@@ -122,11 +129,25 @@ class Builder:
 RANDOM = Builder("random_scenario", seeded=True)
 
 
+def value_only(fn: Callable[[], np.ndarray]) -> Callable:
+    """The source of a field that has no derivative source: its value is
+    ``fn()``, computed once, and a derivative raises ValueError."""
+    value = functools.cache(fn)
+
+    def source(deriv: tuple[int, ...]) -> np.ndarray:
+        if deriv:
+            raise ValueError(f"no source for the derivative {deriv} of a value-only field")
+        return value()
+
+    return source
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family's declaration. Its ``tolerances`` name every residual
     channel a sweep computes, analytic and FD alike: both paths always run,
-    and a tolerance map names exactly these channels."""
+    and a tolerance map names exactly these channels. Each equation ``eq``
+    gives the channels ``eq_analytic`` and ``eq_fd``."""
 
     name: str
     var_names: tuple[str, ...]
@@ -135,15 +156,68 @@ class FamilySpec:
     grid: tuple[int, float]
     # Default tolerance per residual channel the evaluator computes.
     tolerances: Mapping[str, float]
-    # ``evaluator(sc, h=, accuracy=)`` returns the sweep's residual function
-    # of stacked points (see ``verify.sweep``).
-    evaluator: Callable
-    # Output field names, and the function of (scenario, stacked points)
-    # returning their values in this order with the mask of non-singular
-    # points.
+    # ``sources(sc, points)`` returns ({field name: source}, mask) at stacked
+    # points: a source returns the derivative for a sorted multi-index,
+    # computed once, or raises ValueError. The names cover the output fields
+    # and all the equations and checks read.
+    sources: Callable
+    # ``equations(sc, d)`` returns {equation: residual matrices}, reading
+    # d^k F / dv^k as ``d(F, v, ..., v)``.
+    equations: Callable
+    # ``checks(sc, sources)`` returns ({channel: absolute residual}, local
+    # field scale): the channels only analytic sources can check.
+    checks: Callable
+    # Output field names, in the order of ``field_values``.
     fields: tuple[str, ...]
-    field_values: Callable
     builders: Mapping[str, Builder]
+
+    def field_values(self, sc, points: np.ndarray):
+        """The output fields at stacked points, in the order of ``fields``,
+        with the mask of non-singular points."""
+        sources, ok = self.sources(sc, points)
+        return tuple(sources[name](()) for name in self.fields), ok
+
+    def evaluator(self, sc, h: float = verify.DEFAULT_H, accuracy: int = verify.DEFAULT_ACCURACY):
+        """The sweep's residual function of stacked points (see
+        ``verify.sweep``): the checks, and each equation on the analytic
+        sources and on FD stencils of the fields. The FD pass reads each
+        derivative the analytic pass read from one ``verify.fd_partial``
+        call, and field values from the sources, like the analytic pass."""
+
+        def evaluate(points):
+            sources, ok = self.sources(sc, points)
+            read = {}
+
+            def analytic(name, *variables):
+                deriv = tuple(sorted(variables))
+                if len(set(deriv)) > 1:
+                    mixed = name + "_" + "".join(self.var_names[v] for v in deriv)
+                    raise ValueError(f"an equation reads the mixed derivative {mixed}, which no stencil forms")
+                read[name, deriv] = None
+                return sources[name](deriv)
+
+            channels, scale = self.checks(sc, sources)
+            for eq, residual in self.equations(sc, analytic).items():
+                channels[f"{eq}_analytic"] = linalg.fro(residual)
+            wanted = [(name, deriv[0], len(deriv)) for name, deriv in read if deriv]
+
+            def stack(shifted):
+                fields, good = self.sources(sc, shifted)
+                return {name: fields[name](()) for name, _, _ in wanted}, good
+
+            stencils, ok_fd = verify.fd_partial(
+                stack, points, wanted, lambda name: sources[name](()), h=h, accuracy=accuracy
+            )
+            fd = dict(zip(wanted, stencils))
+
+            def stencil(name, *variables):
+                return fd[name, variables[0], len(variables)] if variables else sources[name](())
+
+            for eq, residual in self.equations(sc, stencil).items():
+                channels[f"{eq}_fd"] = linalg.fro(residual)
+            return (channels, scale), ok & ok_fd
+
+        return evaluate
 
     def grid_function(self) -> Callable[..., verify.Grid]:
         """The family's ``default_grid(count, half_width)``."""

@@ -6,9 +6,10 @@ between the two paths certifies both. Fields and residuals are evaluated
 for a whole grid at once: functions take an (N, nvars) array of points and
 return stacked values paired with an (N,) mask, False at points where S is
 singular. Masking is contagious through any stencil that touches such a
-point. ``fd_partial`` makes one FD call per sweep: it evaluates the field
+point. ``fd_partial`` makes one FD call per sweep: it evaluates the fields
 once, on the copies of the grid shifted along every differenced variable
-by every stencil offset, stacked together.
+by every nonzero stencil offset, stacked together, and takes the offset-0
+terms from the caller's values on the grid.
 """
 
 from __future__ import annotations
@@ -105,28 +106,28 @@ class Grid:
         ]
 
 
-# Stacked points (N, nvars) -> (values with a leading axis of N, (N,) mask).
-MaskedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 def fd_partial(
-    f: MaskedFn,
+    f: Callable[[np.ndarray], tuple[Mapping[str, np.ndarray], np.ndarray]],
     points: np.ndarray,
-    derivatives: Sequence[tuple[int, int]],
+    derivatives: Sequence[tuple[str, int, int]],
+    centre: Callable[[str], np.ndarray],
     h: float = DEFAULT_H,
     accuracy: int = DEFAULT_ACCURACY,
-) -> tuple[tuple, np.ndarray]:
-    """Central-difference d^k f / d v^k at stacked points, for each
-    ``(v, k)`` pair in ``derivatives``.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Central-difference d^k F / d v^k at stacked points, for each
+    ``(F, v, k)`` triple in ``derivatives``.
 
     Calls ``f`` once, on one stack of the copies of ``points`` shifted by
-    each ``(variable, offset)`` the requested stencils need, end to end in
-    sorted order. ``f`` may return an array or a tuple of arrays; each
-    derivative comes back in the same form, in the order asked. Returns the
-    derivatives and one mask: a point is masked when any of its copies is.
+    each nonzero ``(variable, offset)`` the requested stencils need, end to
+    end in sorted order; ``f`` returns a mapping of field names to stacked
+    values, and a mask. A stencil's offset-0 term is ``centre(F)``, the
+    field's values at ``points`` themselves, asked for only where a stencil
+    has such a term. Returns the derivatives in the
+    order asked and one mask: a point is masked when any of its shifted
+    copies is; the mask at ``points`` themselves is the caller's.
     """
     stencils = []
-    for _, order in derivatives:
+    for _, _, order in derivatives:
         try:
             stencils.append(_STENCILS[(order, accuracy)])
         except KeyError:
@@ -136,7 +137,7 @@ def fd_partial(
     points = np.asarray(points, dtype=float)
     count = len(points)
     shifts = sorted(
-        {(variable, offset) for (variable, _), stencil in zip(derivatives, stencils) for offset, _ in stencil}
+        {(v, offset) for (_, v, _), stencil in zip(derivatives, stencils) for offset, _ in stencil if offset}
     )
     start = {shift: k * count for k, shift in enumerate(shifts)}
     shifted = np.tile(points, (len(shifts), 1))
@@ -145,27 +146,16 @@ def fd_partial(
     values, good = f(shifted)
     ok = np.asarray(good, dtype=bool).reshape(len(shifts), count).all(axis=0)
 
-    def derivative(value, variable, stencil, order):
-        value = np.asarray(value, dtype=complex)
+    def derivative(name, variable, order, stencil):
         total = None
         for offset, coeff in stencil:
-            first = start[(variable, offset)]
-            contrib = coeff * value[first : first + count]
+            first = start.get((variable, offset))
+            value = centre(name) if first is None else values[name][first : first + count]
+            contrib = coeff * np.asarray(value, dtype=complex)
             total = contrib if total is None else total + contrib
         return total / h**order
 
-    result = tuple(
-        _each_field(values, lambda v: derivative(v, variable, stencil, order))
-        for (variable, order), stencil in zip(derivatives, stencils)
-    )
-    return result, ok
-
-
-def _each_field(values, fn: Callable):
-    """``fn`` of an array, or of each array of a tuple."""
-    if isinstance(values, tuple):
-        return tuple(fn(v) for v in values)
-    return fn(values)
+    return tuple(derivative(*triple, stencil) for triple, stencil in zip(derivatives, stencils)), ok
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ def family_reports():
         ("loewner", loewner),
         ("schrodinger", schrodinger),
         ("gnoe", gnoe),
+        ("dsi", dsi),
     ):
         reports = []
         for _ in range(20):
@@ -56,12 +57,14 @@ _ANALYTIC_CHANNELS = {
     "loewner": ("system_analytic", "premise_1", "premise_2"),
     "schrodinger": ("wave_analytic",),
     "gnoe": ("system_analytic", "premise_x", "premise_t"),
+    "dsi": ("evolution_analytic", "coupling1_analytic", "coupling2_analytic", "premise_x", "premise_t"),
 }
 _FD_CHANNELS = {
     "dirac": ("wave_fd",),
     "loewner": ("system_fd",),
     "schrodinger": ("wave_fd",),
     "gnoe": ("system_fd",),
+    "dsi": ("evolution_fd", "coupling1_fd", "coupling2_fd"),
 }
 
 
@@ -139,7 +142,7 @@ def test_criterion_3_analytic_pde_exactness(family_reports):
 
     _certify(
         3,
-        "analytic PDE residuals stay below 1e-9 for 20 scenarios x 4 families",
+        "analytic PDE residuals stay below 1e-9 for 20 scenarios x 5 families",
         check,
     )
 
@@ -153,7 +156,7 @@ def test_criterion_4_finite_difference_residuals(family_reports):
                     ch = by_name[name]
                     assert ch.passed, (family, name, ch.max_relative)
 
-        # DS I has no analytic PDE path: FD-only on a 9^3 grid at 1e-5.
+        # DS I's FD channels also hold on a finer 9^3 grid, at their 1e-5.
         rng = np.random.default_rng(SEED + 4)
         sc = dsi.random_scenario(rng)
         report = dsi.verify_scenario(sc, grid=dsi.default_grid(count=9))
@@ -271,7 +274,24 @@ def test_criterion_7_rational_oracle():
             if abs(det) >= sp.Rational(1, 2):
                 points.append((x, t, y))
 
-        for x, t, y in points:
+        # The derivatives the analytic channels read, by (field, multi-index
+        # over x, t, y = 0, 1, 2). The fields are real and 1 x 1, so u* u and
+        # u u* are both u^2, and none depends on t.
+        usu_sym = u_sym**2
+        derivs = {
+            ("u", (1,)): sp.Integer(0),
+            ("u", (0, 0)): sp.diff(u_sym, xs, 2),
+            ("u", (2, 2)): sp.diff(u_sym, ys, 2),
+            **{(name, (0,)): sp.diff(f, xs) for name, f in
+               (("q1", q1_sym), ("q2", q2_sym), ("usu", usu_sym), ("uus", usu_sym))},
+            **{(name, (2,)): sp.diff(f, ys) for name, f in
+               (("q1", q1_sym), ("q2", q2_sym), ("usu", usu_sym), ("uus", usu_sym))},
+        }
+        stacked = np.array([(float(x), float(t), float(y)) for x, t, y in points])
+        sources, ok = dsi.SPEC.sources(sc, stacked)
+        assert ok.all()
+
+        for k, (x, t, y) in enumerate(points):
             subs = {xs: sp.Rational(x.numerator, x.denominator),
                     ys: sp.Rational(y.numerator, y.denominator)}
             exact = [sp.Rational(expr.subs(subs)) for expr in (u_sym, q1_sym, q2_sym)]
@@ -280,10 +300,14 @@ def test_criterion_7_rational_oracle():
             for got, want in zip(fields, exact):
                 scale = 1.0 + abs(float(want))
                 assert abs(got[0, 0] - float(want)) <= 1e-12 * scale, (x, t, y)
+            for (name, deriv), expr in derivs.items():
+                want = float(sp.Rational(expr.subs(subs)))
+                got = sources[name](deriv)[k, 0, 0]
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (name, deriv, x, t, y)
 
     _certify(
         7,
-        "nilpotent DSI fields match the exact rational oracle to 1e-12",
+        "nilpotent DSI fields and their derivatives match the exact rational oracle to 1e-12",
         check,
     )
 

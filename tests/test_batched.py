@@ -60,10 +60,14 @@ def _counting_solves(monkeypatch):
 
 # Solves per sweep: one per derivative of Y = S^-1 Pi the analytic
 # channels need, plus one for the one FD call per sweep, whose field call
-# (W and Q together for Schrodinger) needs Y alone. Loewner shares one
-# solve for Psi and L, one for Psi_x and Psi_y, and makes one for the FD
-# call.
-SOLVES_PER_SWEEP = {"dirac": 4, "dsi": 2, "gnoe": 2, "loewner": 3, "schrodinger": 5}
+# (W and Q together for Schrodinger) needs Y alone. DS I's analytic
+# channels need Y_x and Y_y. Loewner solves Psi and L apart, shares one
+# solve for Psi_x and Psi_y, and makes one for the FD call, of Psi alone.
+SOLVES_PER_SWEEP = {"dirac": 4, "dsi": 4, "gnoe": 2, "loewner": 4, "schrodinger": 5}
+# Rows solved per sweep, in grid sizes: one per analytic solve, plus the
+# FD stack's copies of the grid, one per nonzero stencil offset of each
+# differenced variable (8 for x and y, 12 for x, t and y at accuracy 4).
+ROWS_PER_SWEEP = {"dirac": 11, "dsi": 15, "gnoe": 13, "loewner": 11, "schrodinger": 12}
 # Views per sweep: one on the grid, one for the FD call. Loewner is not a
 # pseudo-exponential family.
 VIEWS_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 0, "schrodinger": 2}
@@ -82,10 +86,11 @@ def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
         views.clear()
         report = module.verify_scenario(sc, grid=module.default_grid(count=count))
         assert report.passed and report.masked_count == 0
-        assert all(len(s) % count ** len(module.VAR_NAMES) == 0 for s, _ in calls)
-        counts.append((len(calls), len(views)))
+        size = count ** len(module.VAR_NAMES)
+        assert all(len(s) % size == 0 for s, _ in calls)
+        counts.append((len(calls), len(views), sum(len(s) for s, _ in calls) // size))
     name = module.SPEC.name
-    assert counts == [(SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name])] * 2
+    assert counts == [(SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name], ROWS_PER_SWEEP[name])] * 2
 
 
 def test_every_solve_of_a_view_gives_its_mask(monkeypatch):

@@ -9,6 +9,8 @@ heads, C_k = I and S0 = I,
 constant in x and t, singular exactly on y = 1/2.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,12 +169,13 @@ class TestFields:
         # q2 then depends on x - y only: FD residual of (q2)_x + (q2)_y.
         def q2_fn(points):
             (_, _, q2), ok = dsi.fields_uq(sc, points)
-            return q2, ok
+            return {"q2": q2}, ok
 
         pts = np.array([(0.2, 0.1, -0.3)])
-        (q2x, q2y), ok = verify.fd_partial(q2_fn, pts, [(0, 1), (2, 1)])
+        centre, _ = q2_fn(pts)
+        (q2x, q2y), ok = verify.fd_partial(q2_fn, pts, [("q2", 0, 1), ("q2", 2, 1)], centre.__getitem__)
         assert ok.all()
-        scale = linalg.fro(q2_fn(pts)[0])
+        scale = linalg.fro(centre["q2"])
         assert (linalg.fro(q2x + q2y) <= 1e-8 * (1.0 + scale)).all()
 
     def test_zero_chat2_kills_u_and_q2(self):
@@ -233,6 +236,31 @@ class TestResiduals:
         assert ok[0]
         for name in ("evolution_fd", "coupling1_fd", "coupling2_fd"):
             assert channels[name][0] <= 1e-6 * (1.0 + scale[0]), (name, channels[name])
+
+    def test_analytic_channels_catch_a_scaled_q1_the_fd_channels_pass(self):
+        # q1 off by a relative 1e-6, in its value and derivatives alike:
+        # the analytic channels see it against 1e-9, while the FD channels,
+        # at their 1e-5 stencil tolerance, cannot.
+        def scaled(sc, points):
+            fields, ok = dsi.SPEC.sources(sc, points)
+            q1 = fields["q1"]
+            return {**fields, "q1": lambda deriv: (1.0 + 1e-6) * q1(deriv)}, ok
+
+        spec = dataclasses.replace(dsi.SPEC, sources=scaled)
+        sc = dsi.random_scenario(np.random.default_rng(0))
+        assert dsi.verify_scenario(sc).passed
+        channels = {c.name: c for c in spec.verify_function()(sc).channels}
+        for name in ("evolution_analytic", "coupling1_analytic"):
+            assert not channels[name].passed, name
+            assert channels[name].max_relative > 2e-9, name
+        for name in ("evolution_fd", "coupling1_fd", "coupling2_fd"):
+            assert channels[name].passed, name
+
+    def test_product_rule_is_first_order(self, exponential):
+        fields, ok = dsi.SPEC.sources(exponential, np.array([(0.1, 0.2, -0.3)]))
+        assert ok.all()
+        with pytest.raises(ValueError, match="product rule"):
+            fields["usu"]((0, 0))
 
     def test_default_grid_properties(self):
         grid = dsi.default_grid()

@@ -84,8 +84,8 @@ class TestExponentRecipe:
         pt = np.array([(0.3, -0.6)])
         e = rec.exp_value(pt)[0]
         for deriv, factor in (((0, 0), gx @ gx), ((0, 1), gx @ gt), ((1, 1), gt @ gt)):
-            np.testing.assert_allclose(blk.value(pt, deriv)[0], c @ factor @ e @ chat, rtol=1e-14)
-        np.testing.assert_allclose(blk.value(pt, (1,))[0], c @ gt @ e @ chat, rtol=1e-14)
+            np.testing.assert_allclose(blk.value(pt)(deriv)[0], c @ factor @ e @ chat, rtol=1e-14)
+        np.testing.assert_allclose(blk.value(pt)((1,))[0], c @ gt @ e @ chat, rtol=1e-14)
 
     def test_rejects_noncommuting(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -172,20 +172,22 @@ class TestResiduals:
         pts = np.array([(0.21, -0.35), (0.1, 0.3), (-0.4, 0.05)])
         (channels, _), ok = evaluator(generic_scenario)(pts)
         assert ok.all()
-        # Psi and L share one batched solve, Psi_x and Psi_y another
-        assert all(len(s) == len(pts) for s, _ in calls[:2])
+        # Psi, L, and Psi_x with Psi_y in one shared solve, each on the grid
+        assert all(len(s) == len(pts) for s, _ in calls[:3])
         # plus one batched Psi solve for the FD call, on the four stencil
         # offsets of accuracy 4 along both axes stacked together
-        assert len(calls) == 3
-        assert len(calls[2][0]) == 8 * len(pts)
+        assert len(calls) == 4
+        assert len(calls[3][0]) == 8 * len(pts)
+        lam2 = generic_scenario.lambda2.value(pts)(())
+        assert calls[3][1].shape[-1] == lam2.shape[-1]
         monkeypatch.setattr(linalg, "solve_pivoted", solve)
 
         def psi(points):
             (psi, _), ok = eval_loewner(generic_scenario, points)
-            return psi, ok
+            return {"psi": psi}, ok
 
-        (_, ell), _ = eval_loewner(generic_scenario, pts)
-        (psi_x, psi_y), _ = verify.fd_partial(psi, pts, [(0, 1), (1, 1)])
+        (psi0, ell), _ = eval_loewner(generic_scenario, pts)
+        (psi_x, psi_y), _ = verify.fd_partial(psi, pts, [("psi", 0, 1), ("psi", 1, 1)], {"psi": psi0}.__getitem__)
         fd = psi_x - ell @ psi_y
         assert np.array_equal(channels["system_fd"], linalg.fro(fd))
 
@@ -193,7 +195,7 @@ class TestResiduals:
 class TestRandomScenario:
     def test_well_conditioned_on_grid(self):
         sc = random_scenario(np.random.default_rng(70))
-        lam1 = sc.lambda1.value(default_grid(count=5).stacked())
+        lam1 = sc.lambda1.value(default_grid(count=5).stacked())(())
         for smin in np.linalg.svd(lam1, compute_uv=False)[:, -1]:
             assert smin >= 0.25
 
@@ -211,7 +213,7 @@ class TestRandomScenario:
         # the FD channel on the default grid.
         for s in (32, 48, 144, 179, 211, 223, 236):
             sc = random_scenario(np.random.default_rng(np.random.SeedSequence([s, 1])))
-            lam1 = sc.lambda1.value(default_grid().stacked())
+            lam1 = sc.lambda1.value(default_grid().stacked())(())
             smin = np.linalg.svd(lam1, compute_uv=False)[:, -1].min()
             assert smin >= 0.25, s
             assert verify_scenario(sc).passed, s

@@ -63,13 +63,22 @@ def everywhere(points):
 
 
 def times_m(scalar):
-    """Function of stacked points: scalar(points) * M at each point, with
-    no point masked."""
-    return lambda points: (scalar(points)[:, None, None] * M, everywhere(points))
+    """Function of stacked points: the field F = scalar(points) * M at each
+    point, with no point masked."""
+    return lambda points: ({"F": scalar(points)[:, None, None] * M}, everywhere(points))
 
 
 def at(*points):
     return np.array(points, dtype=float)
+
+
+def fd(f, points, derivatives, **kwargs):
+    """``fd_partial`` with the offset-0 terms taken from f at the points."""
+    return fd_partial(f, points, derivatives, f(points)[0].__getitem__, **kwargs)
+
+
+def no_centre(name):
+    raise AssertionError(f"the centre of {name} was read")
 
 
 class TestFdPartial:
@@ -77,26 +86,26 @@ class TestFdPartial:
         f = times_m(lambda p: np.ones(len(p)))
         for order in (1, 2):
             for acc in (2, 4):
-                (got,), ok = fd_partial(f, at((0.3,)), [(0, order)], h=1e-2, accuracy=acc)
+                (got,), ok = fd(f, at((0.3,)), [("F", 0, order)], h=1e-2, accuracy=acc)
                 assert ok.all()
                 assert np.max(np.abs(got)) <= 1e-10
 
     def test_quadratic_second_derivative(self):
         # x^2 M at x=1: second derivative 2M, order-4 stencil, h=1e-2
         f = times_m(lambda p: p[:, 0] ** 2)
-        (got,), _ = fd_partial(f, at((1.0,)), [(0, 2)], h=1e-2, accuracy=4)
+        (got,), _ = fd(f, at((1.0,)), [("F", 0, 2)], h=1e-2, accuracy=4)
         assert np.max(np.abs(got - 2 * M)) <= 1e-8
 
     def test_polynomial_exactness(self):
         # order-4 first-derivative stencil is exact on degree-4 polynomials
         f = times_m(lambda p: p[:, 0] ** 4)
-        (got,), _ = fd_partial(f, at((0.7,)), [(0, 1)], h=1e-2, accuracy=4)
+        (got,), _ = fd(f, at((0.7,)), [("F", 0, 1)], h=1e-2, accuracy=4)
         want = 4 * 0.7**3 * M
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_order2_accuracy2_first_derivative(self):
         f = times_m(lambda p: p[:, 0] ** 2)
-        (got,), _ = fd_partial(f, at((1.5,)), [(0, 1)], h=1e-3, accuracy=2)
+        (got,), _ = fd(f, at((1.5,)), [("F", 0, 1)], h=1e-3, accuracy=2)
         assert np.max(np.abs(got - 3.0 * M)) <= 1e-9
 
     def test_convergence_slope_is_four(self):
@@ -106,90 +115,106 @@ class TestFdPartial:
         hs = [1e-1, 1e-2, 1e-3]
         errs = []
         for h in hs:
-            (got,), _ = fd_partial(times_m(lambda p: np.exp(3.0 * p[:, 0])), at((x0,)), [(0, 1)], h=h, accuracy=4)
+            (got,), _ = fd(times_m(lambda p: np.exp(3.0 * p[:, 0])), at((x0,)), [("F", 0, 1)], h=h, accuracy=4)
             errs.append(np.max(np.abs(got - exact)))
         slope = np.polyfit(np.log10(hs), np.log10(errs), 1)[0]
         assert abs(slope - 4.0) <= 0.3
 
     def test_variable_selection(self):
         f = times_m(lambda p: p[:, 0] + 10 * p[:, 1])
-        (got,), _ = fd_partial(f, at((0.0, 0.0)), [(1, 1)], h=1e-3)
+        (got,), _ = fd(f, at((0.0, 0.0)), [("F", 1, 1)], h=1e-3)
         assert np.max(np.abs(got - 10 * M)) <= 1e-9
 
     def test_masking_contagion(self):
         def f(points):
-            return points[:, 0, None, None] * M, np.abs(points[:, 0] - 0.01) >= 1e-12
+            return {"F": points[:, 0, None, None] * M}, np.abs(points[:, 0] - 0.01) >= 1e-12
 
         # stencil at 0.0 with h=1e-2 touches 0.01 -> masked; far away -> fine
-        (got,), ok = fd_partial(f, at((0.0,), (0.5,)), [(0, 1)], h=1e-2, accuracy=2)
+        (got,), ok = fd(f, at((0.0,), (0.5,)), [("F", 0, 1)], h=1e-2, accuracy=2)
         assert not ok[0]
         assert ok[1]
         assert np.max(np.abs(got[1] - M)) <= 1e-10
 
     def test_one_call_for_two_variables(self):
         shifts = []
+        base = at((0.1, 1.0), (0.2, 2.0), (0.3, 3.0))
+        field = times_m(lambda p: p[:, 0])
 
         def f(points):
             shifts.append(points.copy())
-            return times_m(lambda p: p[:, 0])(points)
+            return field(points)
 
-        base = at((0.1, 1.0), (0.2, 2.0), (0.3, 3.0))
-        fd_partial(f, base, [(1, 1), (0, 1), (0, 2)], h=1e-2, accuracy=4)
+        triples = [("F", 1, 1), ("F", 0, 1), ("F", 0, 2)]
+        fd_partial(f, base, triples, field(base)[0].__getitem__, h=1e-2, accuracy=4)
         assert len(shifts) == 1
-        # One block per (variable, offset), in sorted order: offset 0 along
-        # x, and no offset-0 block along y, which only a first derivative
-        # asks for.
-        blocks = [(0, -2), (0, -1), (0, 0), (0, 1), (0, 2), (1, -2), (1, -1), (1, 1), (1, 2)]
+        # One block per nonzero (variable, offset), in sorted order: the
+        # offset-0 term of the second derivative along x comes from the
+        # centre, not from the stack.
+        blocks = [(0, -2), (0, -1), (0, 1), (0, 2), (1, -2), (1, -1), (1, 1), (1, 2)]
         stacked = shifts[0].reshape(len(blocks), len(base), 2)
         for shifted, (variable, offset) in zip(stacked, blocks):
             assert np.array_equal(shifted[:, variable], base[:, variable] + offset * 1e-2)
             assert np.array_equal(shifted[:, 1 - variable], base[:, 1 - variable])
 
+    def test_offset_zero_term_comes_from_the_centre(self):
+        f = times_m(lambda p: p[:, 0] ** 2)
+        base = at((1.0,), (-0.5,))
+        centre = f(base)[0]
+        (want,), _ = fd_partial(f, base, [("F", 0, 2)], centre.__getitem__, h=1e-2, accuracy=4)
+        shifted = {"F": centre["F"] + M}
+        (got,), _ = fd_partial(f, base, [("F", 0, 2)], shifted.__getitem__, h=1e-2, accuracy=4)
+        for diff in got - want:
+            np.testing.assert_allclose(diff, (-30.0 / 12.0) * M / 1e-4, rtol=1e-9)
+        # A first derivative has no offset-0 term and reads no centre.
+        (first,), _ = fd_partial(f, base, [("F", 0, 1)], no_centre, h=1e-2)
+        np.testing.assert_allclose(first, 2 * base[:, 0, None, None] * M, rtol=1e-12)
+
     def test_orders_from_one_call_match_single_orders(self):
         # Masked where x2 = 0.52, which lies on the x2 stencils of the first
         # point at accuracy 4 and of the third at both accuracies.
         def f(points):
-            value, _ = times_m(lambda p: np.sin(p[:, 0]) * np.exp(p[:, 1]) + p[:, 2] ** 3)(points)
-            return value, np.abs(points[:, 2] - 0.52) >= 1e-12
+            fields, _ = times_m(lambda p: np.sin(p[:, 0]) * np.exp(p[:, 1]) + p[:, 2] ** 3)(points)
+            return fields, np.abs(points[:, 2] - 0.52) >= 1e-12
 
         base = at((0.1, 1.0, 0.5), (0.2, -0.5, 0.0), (-0.7, 0.3, 0.51))
-        pairs = [(0, 1), (0, 2), (1, 1), (2, 2), (1, 2), (2, 1)]
+        triples = [("F", 0, 1), ("F", 0, 2), ("F", 1, 1), ("F", 2, 2), ("F", 1, 2), ("F", 2, 1)]
         for acc, want_ok in ((2, [True, True, False]), (4, [False, True, False])):
-            got, ok = fd_partial(f, base, pairs, h=1e-2, accuracy=acc)
-            assert len(got) == len(pairs)
+            got, ok = fd(f, base, triples, h=1e-2, accuracy=acc)
+            assert len(got) == len(triples)
             ok_all = np.ones(len(base), dtype=bool)
-            for derivative, pair in zip(got, pairs):
-                (one,), ok_one = fd_partial(f, base, [pair], h=1e-2, accuracy=acc)
-                assert np.array_equal(derivative, one), (pair, acc)
+            for derivative, triple in zip(got, triples):
+                (one,), ok_one = fd(f, base, [triple], h=1e-2, accuracy=acc)
+                assert np.array_equal(derivative, one), (triple, acc)
                 ok_all &= ok_one
             assert np.array_equal(ok, ok_all)
             assert ok.tolist() == want_ok
-            # The order of the pairs changes neither the derivatives nor the mask.
-            back, ok_back = fd_partial(f, base, pairs[::-1], h=1e-2, accuracy=acc)
+            # The order of the triples changes neither the derivatives nor the mask.
+            back, ok_back = fd(f, base, triples[::-1], h=1e-2, accuracy=acc)
             assert all(np.array_equal(a, b) for a, b in zip(back[::-1], got))
             assert np.array_equal(ok_back, ok)
 
-    def test_tuple_field_matches_each_element(self):
+    def test_fields_of_one_mapping_match_each_field(self):
         first = times_m(lambda p: p[:, 0] ** 3)
         second = times_m(lambda p: np.cos(p[:, 0]))
 
         def both(points):
             (a, ok), (b, _) = first(points), second(points)
-            return (a, b), ok
+            return {"a": a["F"], "b": b["F"], "unread": None}, ok
 
         base = at((0.4,), (-1.1,))
-        (d1, d2), ok = fd_partial(both, base, [(0, 1), (0, 2)], h=1e-2)
-        assert ok.all()
+        triples = [("a", 0, 1), ("a", 0, 2), ("b", 0, 1), ("b", 0, 2)]
+        got, ok = fd(both, base, triples, h=1e-2)
+        assert ok.all() and len(got) == 4
         for k, f in enumerate((first, second)):
-            (one, two), _ = fd_partial(f, base, [(0, 1), (0, 2)], h=1e-2)
-            assert np.array_equal(d1[k], one) and np.array_equal(d2[k], two)
+            (one, two), _ = fd(f, base, [("F", 0, 1), ("F", 0, 2)], h=1e-2)
+            assert np.array_equal(got[2 * k], one) and np.array_equal(got[2 * k + 1], two)
 
     def test_bad_stencil_request(self):
         f = times_m(lambda p: np.ones(len(p)))
         with pytest.raises(ValueError, match="stencil"):
-            fd_partial(f, at((0.0,)), [(0, 3)])
+            fd(f, at((0.0,)), [("F", 0, 3)])
         with pytest.raises(ValueError, match="positive"):
-            fd_partial(f, at((0.0,)), [(0, 1)], h=0.0)
+            fd(f, at((0.0,)), [("F", 0, 1)], h=0.0)
 
 
 def _grid1d(count=5):
