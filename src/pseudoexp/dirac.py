@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector, value_only
 
@@ -128,8 +128,7 @@ def build_dirac(
     eye2 = np.eye(2, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat)],
-        [STerm(1.0, c, recipe, node.r_mat)],
+        [PiBlock(c, recipe, chat, node.r_mat)],
         s0,
         {
             0: [SRule(1.0, (), SIGMA2, ())],

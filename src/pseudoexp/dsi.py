@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
@@ -45,7 +45,6 @@ __all__ = [
     "build_dsi",
     "build_rational_dsi",
     "fields_uq",
-    "premise_residuals",
     "evaluator",
     "SPEC",
     "default_grid",
@@ -132,8 +131,7 @@ def build_dsi(
     eye = np.eye(m1 + m2, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c1, recipe1, chat1), PiBlock(c2, recipe2, chat2)],
-        [STerm(1.0, c1, recipe1, r1), STerm(-1.0, c2, recipe2, r2)],
+        [PiBlock(c1, recipe1, chat1, r1), PiBlock(c2, recipe2, chat2, r2, -1.0)],
         s0,
         {
             X: [SRule(-1.0, (), j, ())],
@@ -213,13 +211,6 @@ def _premises(sc: DsiScenario, pi):
         },
         1.0 + linalg.fro(pi(())),
     )
-
-
-@pointwise(masked=False)
-def premise_residuals(sc: DsiScenario, points: np.ndarray):
-    """Analytic residuals of Pi_x = Pi_y j and Pi_t = -i Pi_yy j, and the
-    scale 1 + ||Pi||, at stacked points."""
-    return _premises(sc, sc.family.at(points).pi)
 
 
 def _checks(sc: DsiScenario, f):

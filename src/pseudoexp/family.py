@@ -6,7 +6,9 @@ A solution family is described by
   where M_i(vars) = sum_v vars[v] G_v is linear in the variables, with one
   constant generator G_v per variable and pairwise-commuting generators
   (Schrodinger's x A - i t A^2 has G_x = A, G_t = -i A^2),
-* S(vars) = S0 + sum_terms sign * C exp(M) R exp(M)* C*,
+* S(vars) = S0 + sum_blocks sign_i C_i exp(M_i) R_i exp(M_i)* C_i*: each
+  node gives one ``PiBlock`` carrying its C, recipe, chat, R and sign, so
+  Pi and S are read off one list of blocks,
 * per-variable derivative rules expressing dS as finite sums
   c * (d^alpha Pi) nu (d^beta Pi)*, which hold because of the node
   identities and are cross-checked against brute-force differentiation.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from . import linalg
 __all__ = [
     "ExponentRecipe",
     "PiBlock",
-    "STerm",
     "SRule",
     "PseudoExpFamily",
     "pointwise",
@@ -113,12 +114,6 @@ class ExponentRecipe:
         self.nvars = len(gens)
         self.dim = int(dim)
 
-    def exponent(self, point: Sequence[float]) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for v, g in zip(point, self.generators):
-            m = m + v * g
-        return m
-
     def exp_value(self, points: np.ndarray) -> np.ndarray:
         """exp(M) at stacked points as the product of exp(x G_v) over the
         variables, with one stacked ``mat_exp`` per variable over its values."""
@@ -145,17 +140,29 @@ def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PiBlock:
-    """One factor block C exp(M(vars)) chat."""
+    """One factor block C exp(M(vars)) chat of Pi and, given R, its summand
+    sign * C exp(M) R exp(M)* C* of S."""
 
     c: np.ndarray
     recipe: ExponentRecipe
     chat: np.ndarray
+    r: Optional[np.ndarray] = None
+    sign: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "c", linalg.as_matrix(self.c, "C"))
         object.__setattr__(self, "chat", linalg.as_matrix(self.chat, "chat"))
         if self.c.shape[1] != self.recipe.dim or self.chat.shape[0] != self.recipe.dim:
             raise ValueError("C and chat must conform with the recipe dimension")
+        if self.r is None:
+            return
+        object.__setattr__(self, "r", linalg.as_matrix(self.r, "R"))
+        if float(self.sign) not in (1.0, -1.0):
+            raise ValueError("term sign must be +1 or -1")
+        if linalg.fro(self.r - linalg.adjoint(self.r)) > 1e-12 * (1.0 + linalg.fro(self.r)):
+            raise ValueError("R must be Hermitian")
+        if self.r.shape != (self.recipe.dim, self.recipe.dim):
+            raise ValueError("R must conform with the recipe dimension")
 
     def value(self, points: np.ndarray) -> Callable[[Sequence[int]], np.ndarray]:
         """The function of a multi-index giving that derivative of the block
@@ -168,48 +175,23 @@ class PiBlock:
         f = self.recipe.factor(deriv) @ e if deriv else e
         return self.c @ f @ self.chat
 
-
-@dataclass(frozen=True)
-class STerm:
-    """One summand sign * C exp(M) R exp(M)* C* of S."""
-
-    sign: float
-    c: np.ndarray
-    recipe: ExponentRecipe
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", linalg.as_matrix(self.c, "C"))
-        object.__setattr__(self, "r", linalg.as_matrix(self.r, "R"))
-        if float(self.sign) not in (1.0, -1.0):
-            raise ValueError("term sign must be +1 or -1")
-        if linalg.fro(self.r - linalg.adjoint(self.r)) > 1e-12 * (1.0 + linalg.fro(self.r)):
-            raise ValueError("R must be Hermitian")
-        if self.c.shape[1] != self.recipe.dim or self.r.shape != (self.recipe.dim, self.recipe.dim):
-            raise ValueError("C and R must conform with the recipe dimension")
-
-    def _core(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
-        # The product rule, given exp(M) at stacked points.
-        g0 = e @ self.r @ linalg.adjoint(e)
-        if not deriv:
-            return g0
-        left = self.recipe.factor(deriv)
-        if len(deriv) == 1:
-            return left @ g0 + g0 @ linalg.adjoint(left)
-        dv, dw = (self.recipe.generators[i] for i in deriv)
-        return (
-            left @ g0
-            + dv @ g0 @ linalg.adjoint(dw)
-            + dw @ g0 @ linalg.adjoint(dv)
-            + g0 @ linalg.adjoint(left)
-        )
-
-    def value(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        return self.at(self.recipe.exp_value(points), _canonical(deriv))
-
-    def at(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
-        """d^deriv of the term, given exp(M) at stacked points."""
-        return self.sign * (self.c @ self._core(e, deriv) @ linalg.adjoint(self.c))
+    def term(self, e: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
+        """d^deriv of the block's S summand, given exp(M) at stacked points,
+        by the product rule."""
+        core = g0 = e @ self.r @ linalg.adjoint(e)
+        if deriv:
+            left = self.recipe.factor(deriv)
+            if len(deriv) == 1:
+                core = left @ g0 + g0 @ linalg.adjoint(left)
+            else:
+                dv, dw = (self.recipe.generators[i] for i in deriv)
+                core = (
+                    left @ g0
+                    + dv @ g0 @ linalg.adjoint(dw)
+                    + dw @ g0 @ linalg.adjoint(dv)
+                    + g0 @ linalg.adjoint(left)
+                )
+        return self.sign * (self.c @ core @ linalg.adjoint(self.c))
 
 
 @dataclass(frozen=True)
@@ -252,21 +234,27 @@ class _AtPoints:
         """d^deriv Pi, (N, n, width)."""
         deriv = _canonical(deriv)
         if deriv not in self._pi:
-            blocks = self.family.pi_blocks
+            blocks = self.family.blocks
             self._pi[deriv] = np.concatenate([b.at(self.exp(b.recipe), deriv) for b in blocks], axis=-1)
         return self._pi[deriv]
 
     def s(self, deriv: Sequence[int] = ()) -> np.ndarray:
-        """d^deriv S via the identity-based rules, (N, n, n)."""
+        """d^deriv S via the identity-based rules, (N, n, n). An S that is not
+        finite raises ValueError naming its first such point."""
         deriv = _canonical(deriv)
         if deriv in self._s:
             return self._s[deriv]
         fam, adj = self.family, linalg.adjoint
         if not deriv:
-            s = np.broadcast_to(fam.s0, (len(self.points), fam.n, fam.n))
-            for term in fam.s_terms:
-                s = s + term.at(self.exp(term.recipe), ())
-            out = _hermitize(s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.broadcast_to(fam.s0, (len(self.points), fam.n, fam.n))
+                for blk in fam.blocks:
+                    s = s + blk.term(self.exp(blk.recipe))
+                out = _hermitize(s)
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
+            if len(bad):
+                where = ", ".join(f"{v} = {float(x)}" for v, x in zip(fam.var_names, self.points[bad[0]]))
+                raise ValueError(f"S overflows at {where}")
         else:
             v, rest = deriv[0], deriv[1:]
             out = np.zeros((len(self.points), fam.n, fam.n), dtype=complex)
@@ -345,33 +333,31 @@ class PseudoExpFamily:
     def __init__(
         self,
         var_names: Sequence[str],
-        pi_blocks: Sequence[PiBlock],
-        s_terms: Sequence[STerm],
+        blocks: Sequence[PiBlock],
         s0: np.ndarray,
         s_rules: Mapping[int, Sequence[SRule]],
     ):
         self.var_names = tuple(var_names)
         self.nvars = len(self.var_names)
-        self.pi_blocks = list(pi_blocks)
-        self.s_terms = list(s_terms)
+        self.blocks = list(blocks)
         self.s0 = linalg.as_matrix(s0, "S0")
         if linalg.fro(self.s0 - linalg.adjoint(self.s0)) > 1e-12 * (1.0 + linalg.fro(self.s0)):
             raise ValueError("S0 must be Hermitian")
         self.s_rules = {v: list(rules) for v, rules in s_rules.items()}
-        if not self.pi_blocks:
+        if not self.blocks:
             raise ValueError("at least one Pi block is required")
-        rows = {blk.c.shape[0] for blk in self.pi_blocks}
+        if any(blk.r is None for blk in self.blocks):
+            raise ValueError("every block needs its R: each node gives one Pi block and one S summand")
+        rows = {blk.c.shape[0] for blk in self.blocks}
         if len(rows) != 1:
             raise ValueError("all Pi blocks must produce the same row count")
         self.n = rows.pop()
         if self.s0.shape != (self.n, self.n):
             raise ValueError("S0 must be square with the Pi row count")
-        self.width = sum(blk.chat.shape[1] for blk in self.pi_blocks)
-        for part in self.pi_blocks + self.s_terms:
-            if part.recipe.nvars != self.nvars:
-                raise ValueError(
-                    f"recipe has {part.recipe.nvars} generators for {self.nvars} variables"
-                )
+        self.width = sum(blk.chat.shape[1] for blk in self.blocks)
+        for blk in self.blocks:
+            if blk.recipe.nvars != self.nvars:
+                raise ValueError(f"recipe has {blk.recipe.nvars} generators for {self.nvars} variables")
         for v in range(self.nvars):
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
@@ -390,11 +376,11 @@ class PseudoExpFamily:
 
     @pointwise(masked=False)
     def s_direct(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        """Same quantity by brute-force differentiation of the S terms."""
+        """Same quantity by brute-force differentiation of the S summands."""
         deriv = _canonical(deriv)
         if not deriv:
             return self.s(points)
         out = np.zeros((len(points), self.n, self.n), dtype=complex)
-        for term in self.s_terms:
-            out = out + term.value(points, deriv)
+        for blk in self.blocks:
+            out = out + blk.term(blk.recipe.exp_value(points), deriv)
         return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_matrix, parse_real_vector
 
@@ -39,7 +39,6 @@ __all__ = [
     "synthesize_chat",
     "diagonal_block_r",
     "xi",
-    "premise_residuals",
     "evaluator",
     "SPEC",
     "default_grid",
@@ -165,8 +164,7 @@ def build_gnoe(
     recipe = ExponentRecipe([a1, a2, a3])
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat_big)],
-        [STerm(1.0, c, recipe, r)],
+        [PiBlock(c, recipe, chat_big, r)],
         s0,
         {
             X: [SRule(-1.0, (), b_mat @ d_mat, ())],
@@ -210,13 +208,6 @@ def _premises(sc: GnoeScenario, pi):
         },
         1.0 + linalg.fro(pi(())),
     )
-
-
-@pointwise(masked=False)
-def premise_residuals(sc: GnoeScenario, points: np.ndarray):
-    """Analytic residuals of Pi_x = Pi_y D and Pi_t = Pi_y Dtilde, and the
-    scale 1 + ||Pi||, at stacked points."""
-    return _premises(sc, sc.family.at(points).pi)
 
 
 def _checks(sc: GnoeScenario, f):

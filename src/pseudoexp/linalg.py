@@ -108,10 +108,12 @@ def mat_exp(m) -> np.ndarray:
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     squarings = np.maximum(0, np.ceil(np.log2(norm / 0.5))).astype(int)
     e = _taylor_exp(a / (2.0**squarings)[:, None, None], 16)
-    # Step j squares only the matrices with more than j squarings.
-    for j in range(squarings.max(initial=0)):
-        sq = np.flatnonzero(squarings > j)
-        e[sq] = e[sq] @ e[sq]
+    # Step j squares only the matrices with more than j squarings. An
+    # overflow is left for the caller to report, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(squarings.max(initial=0)):
+            sq = np.flatnonzero(squarings > j)
+            e[sq] = e[sq] @ e[sq]
     out[rest] = e
     return out.reshape(m.shape)
 

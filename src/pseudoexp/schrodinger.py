@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, STerm, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real, value_only
 
@@ -110,8 +110,7 @@ def build_schrodinger(
     eye = np.eye(width, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat)],
-        [STerm(1.0, c, recipe, node.r_mat)],
+        [PiBlock(c, recipe, chat, node.r_mat)],
         s0,
         {
             0: [SRule(1.0, (), eye, ())],

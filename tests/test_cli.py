@@ -175,6 +175,29 @@ class TestRun:
         assert cli.main(["run", str(path)]) == 0
         assert (tmp_path / "out.csv").read_bytes() == first
 
+    # S past the double range exits 2 naming the first such grid point, with
+    # no RuntimeWarning (warnings fail the suite) and no file written.
+    @pytest.mark.parametrize(
+        "name, params, x_range, where",
+        [
+            ("schrodinger-rational", {"mu0": 1e20}, None, "x = 0.25, t = -1.0"),
+            ("schrodinger-nonsingular", {}, (-400, 400), "x = 400.0, t = -1.0"),
+        ],
+    )
+    def test_overflowing_s_exits_two_naming_the_point(
+        self, tmp_path, monkeypatch, capsys, name, params, x_range, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(Path(next(p for n, _, p in cli.catalog() if n == name)).read_text())
+        config["params"].update(params)
+        if x_range:
+            config["grid"][0]["min"], config["grid"][0]["max"] = x_range
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"config error: S overflows at {where}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestSchemaErrors:
     def test_min_not_below_max(self, tmp_path):

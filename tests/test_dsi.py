@@ -80,6 +80,15 @@ class TestBuild:
                 nil, nil, np.eye(2), np.eye(3, 2), np.ones((2, 1)), np.ones((2, 1))
             )
 
+    def test_second_block_carries_the_negative_term(self, exponential):
+        # One block per node; the second node's S summand enters with sign -1.
+        first, second = exponential.family.blocks
+        assert first.sign == 1.0 and second.sign == -1.0
+        plus = dataclasses.replace(second, sign=1.0)
+        e = second.recipe.exp_value(np.array([(0.2, -0.3, 0.4), (-0.5, 0.1, 0.6)]))
+        for deriv in ((), (0,), (1, 2)):
+            assert np.array_equal(second.term(e, deriv), -plus.term(e, deriv))
+
     def test_j_mat(self, rational):
         assert np.array_equal(rational.j_mat, np.diag([1.0 + 0j, -1.0]))
 
@@ -124,9 +133,12 @@ class TestRationalInstance:
         assert report.passed
 
     def test_premises_exact(self, rational):
-        res, scale = dsi.premise_residuals(rational, (0.3, -0.4, 0.1))
-        assert res["premise_x"] <= 1e-13 * scale
-        assert res["premise_t"] <= 1e-13 * scale
+        point = np.array([(0.3, -0.4, 0.1)])
+        (channels, _), ok = dsi.evaluator(rational)(point)
+        scale = 1.0 + linalg.fro(rational.family.at(point).pi())
+        assert ok.all()
+        assert (channels["premise_x"] <= 1e-13 * scale).all()
+        assert (channels["premise_t"] <= 1e-13 * scale).all()
 
 
 class TestFields:
@@ -223,11 +235,12 @@ class TestResiduals:
     def test_premises_exact_random(self):
         rng = np.random.default_rng(13)
         sc = dsi.random_scenario(rng)
-        for _ in range(5):
-            pt = tuple(rng.uniform(-0.7, 0.7, 3))
-            res, scale = dsi.premise_residuals(sc, pt)
-            assert res["premise_x"] <= 1e-12 * scale
-            assert res["premise_t"] <= 1e-12 * scale
+        points = np.array([rng.uniform(-0.7, 0.7, 3) for _ in range(5)])
+        (channels, _), ok = dsi.evaluator(sc)(points)
+        scale = 1.0 + linalg.fro(sc.family.at(points).pi())
+        assert ok.all()
+        assert (channels["premise_x"] <= 1e-12 * scale).all()
+        assert (channels["premise_t"] <= 1e-12 * scale).all()
 
     def test_rational_evolution_fd(self, rational):
         # Evolution and couplings for the rational fields, a stack of one point.

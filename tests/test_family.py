@@ -9,7 +9,6 @@ from pseudoexp.family import (
     PiBlock,
     PseudoExpFamily,
     SRule,
-    STerm,
 )
 
 I1 = np.eye(1, dtype=complex)
@@ -28,15 +27,14 @@ def schrodinger_recipe(a):
 
 def schrodinger_family(a, c, chat, s0, r):
     recipe = schrodinger_recipe(a)
-    blocks = [PiBlock(c, recipe, chat)]
-    terms = [STerm(1.0, np.asarray(c, dtype=complex), recipe, r)]
+    blocks = [PiBlock(c, recipe, chat, r)]
     width = np.asarray(chat).shape[1]
     eye = np.eye(width, dtype=complex)
     rules = {
         0: [SRule(1.0, (), eye, ())],
         1: [SRule(-1j, (0,), eye, ()), SRule(1j, (), eye, (0,))],
     }
-    return PseudoExpFamily(("x", "t"), blocks, terms, s0, rules)
+    return PseudoExpFamily(("x", "t"), blocks, s0, rules)
 
 
 @pytest.fixture
@@ -65,14 +63,16 @@ def singular_line_family():
 
 class TestExponentRecipe:
     def test_exponent_is_sum_of_generators(self):
+        # exp(M) at a point is the exponential of M = sum_v vars[v] G_v.
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         gens = [a, a @ a, -2j * a]
         rec = ExponentRecipe(gens)
         assert rec.nvars == 3 and rec.dim == 3
         pt = (0.7, -0.3, 1.25)
-        want = sum(x * g for x, g in zip(pt, gens))
-        np.testing.assert_allclose(rec.exponent(pt), want, rtol=1e-14, atol=1e-14)
+        want = linalg.mat_exp(sum(x * g for x, g in zip(pt, gens)))
+        got = rec.exp_value(np.array([pt]))[0]
+        assert linalg.fro(got - want) <= 1e-13 * linalg.fro(want)
 
     def test_pi_second_derivative_is_generator_product(self):
         a = np.array([[1j, 1.0], [0.0, 1j]], dtype=complex)
@@ -107,7 +107,7 @@ class TestExponentRecipe:
         a = np.array([[1j, 1.0], [0.0, 1j]], dtype=complex)
         rec = schrodinger_recipe(a)
         pt = (0.4, 0.9)
-        expect = linalg.mat_exp(rec.exponent(pt))
+        expect = linalg.mat_exp(sum(x * g for x, g in zip(pt, rec.generators)))
         assert linalg.fro(rec.exp_value(np.array([pt]))[0] - expect) <= 1e-13 * linalg.fro(expect)
         # a stack of points gives each point's value, bitwise
         stack = np.array([(0.4, 0.9), (-0.3, 0.9), (0.4, 0.2)])
@@ -183,6 +183,8 @@ class TestPiBlock:
 
 
 class TestSTerm:
+    """The S term a block carries: sign * C exp(M) R exp(M)* C*."""
+
     def test_frozen_s_at_origin(self, rational_family):
         s = rational_family.s((0.0, 0.0))
         assert s.shape == (1, 1)
@@ -191,33 +193,41 @@ class TestSTerm:
     def test_rejects_non_hermitian_r(self):
         rec = schrodinger_recipe(np.eye(2, dtype=complex))
         r = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        chat = np.ones((2, 1), dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            STerm(1.0, np.eye(2, dtype=complex), rec, r)
+            PiBlock(np.eye(2, dtype=complex), rec, chat, r)
+
+    def test_rejects_r_of_another_dimension(self):
+        rec = schrodinger_recipe(np.eye(2, dtype=complex))
+        chat = np.ones((2, 1), dtype=complex)
+        with pytest.raises(ValueError, match="R must conform"):
+            PiBlock(np.eye(2, dtype=complex), rec, chat, np.eye(3, dtype=complex))
 
     def test_rejects_bad_sign(self):
         rec = schrodinger_recipe(np.eye(2, dtype=complex))
+        chat = np.ones((2, 1), dtype=complex)
         with pytest.raises(ValueError, match="sign"):
-            STerm(2.0, np.eye(2, dtype=complex), rec, np.eye(2, dtype=complex))
+            PiBlock(np.eye(2, dtype=complex), rec, chat, np.eye(2, dtype=complex), 2.0)
 
     def test_negative_sign_flips_contribution(self):
         a = np.array([[1.0]], dtype=complex)
         rec = ExponentRecipe([a])
         c = np.eye(1, dtype=complex)
         r = np.eye(1, dtype=complex)
-        plus = STerm(1.0, c, rec, r)
-        minus = STerm(-1.0, c, rec, r)
-        pt = np.array([(0.3,)])
-        assert np.array_equal(plus.value(pt), -minus.value(pt))
+        plus = PiBlock(c, rec, c, r)
+        minus = PiBlock(c, rec, c, r, -1.0)
+        e = rec.exp_value(np.array([(0.3,)]))
+        assert np.array_equal(plus.term(e), -minus.term(e))
 
     def test_core_derivative_against_fd(self, singular_line_family):
         # With C = I and sign +1 the term is the core exp(M) R exp(M)* itself.
-        term = singular_line_family.s_terms[0]
-        assert term.sign == 1.0 and np.array_equal(term.c, np.eye(2))
+        (blk,) = singular_line_family.blocks
+        assert blk.sign == 1.0 and np.array_equal(blk.c, np.eye(2))
         pt = (0.2, -0.1)
         h = 1e-6
 
         def core(point, deriv=()):
-            return term.value(np.array([point]), deriv)[0]
+            return blk.term(blk.recipe.exp_value(np.array([point])), deriv)[0]
 
         fd = (core((pt[0], pt[1] + h)) - core((pt[0], pt[1] - h))) / (2 * h)
         an = core(pt, (1,))
@@ -262,8 +272,7 @@ class TestSEvaluation:
         with pytest.raises(ValueError, match="rule"):
             PseudoExpFamily(
                 ("x", "t"),
-                rational_family.pi_blocks,
-                rational_family.s_terms,
+                rational_family.blocks,
                 rational_family.s0,
                 {0: rational_family.s_rules[0]},
             )
@@ -273,22 +282,30 @@ class TestSEvaluation:
         rec = ExponentRecipe([one])
         rules = {0: [SRule(1.0, (), one, ())], 1: [SRule(1.0, (), one, ())]}
         with pytest.raises(ValueError, match="1 generators for 2 variables"):
-            PseudoExpFamily(("x", "t"), [PiBlock(one, rec, one)], [], one, rules)
+            PseudoExpFamily(("x", "t"), [PiBlock(one, rec, one, one)], one, rules)
         with pytest.raises(ValueError, match="2 generators for 1 variables"):
             PseudoExpFamily(
                 ("x",),
-                [PiBlock(one, rec, one)],
-                [STerm(1.0, one, ExponentRecipe([one, one]), one)],
+                [PiBlock(one, rec, one, one), PiBlock(one, ExponentRecipe([one, one]), one, one)],
                 one,
                 {0: rules[0]},
+            )
+
+    def test_block_without_r_rejected(self, rational_family):
+        (blk,) = rational_family.blocks
+        with pytest.raises(ValueError, match="needs its R"):
+            PseudoExpFamily(
+                ("x", "t"),
+                [PiBlock(blk.c, blk.recipe, blk.chat)],
+                rational_family.s0,
+                rational_family.s_rules,
             )
 
     def test_non_hermitian_s0_rejected(self, rational_family):
         with pytest.raises(ValueError, match="Hermitian"):
             PseudoExpFamily(
                 ("x", "t"),
-                rational_family.pi_blocks,
-                rational_family.s_terms,
+                rational_family.blocks,
                 np.array([[1j]]),
                 rational_family.s_rules,
             )
@@ -395,13 +412,11 @@ class TestMultiBlock:
         rec1 = ExponentRecipe([a1])
         rec2 = ExponentRecipe([a2])
         c = np.eye(1, dtype=complex)
-        blocks = [PiBlock(c, rec1, c), PiBlock(c, rec2, c)]
-        terms = [STerm(1.0, c, rec1, np.eye(1, dtype=complex))]
+        blocks = [PiBlock(c, rec1, c, np.eye(1, dtype=complex)), PiBlock(c, rec2, c, np.eye(1, dtype=complex))]
         eye2 = np.eye(2, dtype=complex)
         fam = PseudoExpFamily(
             ("x",),
             blocks,
-            terms,
             np.eye(1, dtype=complex),
             {0: [SRule(1.0, (), eye2, ())]},
         )
@@ -420,8 +435,7 @@ class TestMultiBlock:
         with pytest.raises(ValueError, match="row count"):
             PseudoExpFamily(
                 ("x",),
-                [PiBlock(one, rec, one), PiBlock(two_rows, rec, one)],
-                [STerm(1.0, one, rec, one)],
+                [PiBlock(one, rec, one, one), PiBlock(two_rows, rec, one, np.eye(1, dtype=complex))],
                 one,
                 {0: [SRule(1.0, (), one, ())]},
             )

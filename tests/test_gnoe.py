@@ -184,11 +184,12 @@ class TestField:
 class TestResiduals:
     def test_premises_exact(self, two_by_two):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            pt = tuple(rng.uniform(-0.6, 0.6, 3))
-            res, scale = gnoe.premise_residuals(two_by_two, pt)
-            assert res["premise_x"] <= 1e-12 * scale
-            assert res["premise_t"] <= 1e-12 * scale
+        points = np.array([rng.uniform(-0.6, 0.6, 3) for _ in range(5)])
+        (channels, _), ok = gnoe.evaluator(two_by_two)(points)
+        scale = 1.0 + linalg.fro(two_by_two.family.at(points).pi())
+        assert ok.all()
+        assert (channels["premise_x"] <= 1e-12 * scale).all()
+        assert (channels["premise_t"] <= 1e-12 * scale).all()
 
     def test_analytic_system_exact(self, two_by_two):
         rng = np.random.default_rng(7)
