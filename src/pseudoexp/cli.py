@@ -283,9 +283,11 @@ def _cmd_run(path: str) -> int:
     ) = _prepare(path)
     spec = module.SPEC
     # Looked up at call time, so a rebinding of the module attribute takes effect.
-    report = module.verify_scenario(scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy)
-
-    rows, shapes = _dump_rows(spec, scenario, grid, fields)
+    try:
+        report = module.verify_scenario(scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy)
+        rows, shapes = _dump_rows(spec, scenario, grid, fields)
+    except MemoryError as exc:
+        raise ConfigError(f"a grid of {grid.size} points does not fit in memory ({exc})") from exc
     dump_path = Path(out_path)
     report_path = dump_path.with_suffix(".report.json")
     payload = {

@@ -128,7 +128,7 @@ def build_dirac(
     eye2 = np.eye(2, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat, node.r_mat)],
+        PiBlock(c, recipe, chat, node.r_mat),
         s0,
         {
             0: [SRule(1.0, (), SIGMA2, ())],

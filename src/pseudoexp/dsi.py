@@ -9,6 +9,10 @@ with Hermitian R_k solving A_k R_k + R_k A_k* = -chat_k chat_k*, and
 
     S = S0 + C1 E1 R1 E1* C1* - C2 E2 R2 E2* C2*.
 
+The two nodes are assembled as one block-diagonal node, with C = [C1 C2],
+chat = diag(chat1, chat2), R = diag(R1, -R2) and the generators diag(A1, A2),
+diag(-i A1^2, i A2^2), diag(A1, -A2) of (x, t, y), so Pi = [Phi_1 Phi_2].
+
 Pi = [Phi_1 Phi_2] satisfies Pi_x = Pi_y j and Pi_t = -i Pi_yy j with
 j = diag(I_{m1}, -I_{m2}), and the derivative rules
 
@@ -123,15 +127,12 @@ def build_dsi(
             raise ConstructionError(f"node {k} identity fails: " + "; ".join(report.messages))
 
     # Generators per (x, t, y) of the exponents (x+y) A1 - i t A1^2 and (x-y) A2 + i t A2^2
-    recipe1 = ExponentRecipe([a1, -1j * (a1 @ a1), a1])
-    recipe2 = ExponentRecipe([a2, 1j * (a2 @ a2), -a2])
-    m1 = chat1.shape[1]
-    m2 = chat2.shape[1]
-    j = np.diag(np.concatenate([np.ones(m1), -np.ones(m2)])).astype(complex)
-    eye = np.eye(m1 + m2, dtype=complex)
+    recipe = ExponentRecipe([_diag(a1, a2), _diag(-1j * (a1 @ a1), 1j * (a2 @ a2)), _diag(a1, -a2)])
+    j = np.diag(np.concatenate([np.ones(chat1.shape[1]), -np.ones(chat2.shape[1])])).astype(complex)
+    eye = np.eye(len(j), dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c1, recipe1, chat1, r1), PiBlock(c2, recipe2, chat2, r2, -1.0)],
+        PiBlock(np.hstack([c1, c2]), recipe, _diag(chat1, chat2), _diag(r1, -r2)),
         s0,
         {
             X: [SRule(-1.0, (), j, ())],
@@ -140,6 +141,12 @@ def build_dsi(
         },
     )
     return DsiScenario(a1, a2, c1, c2, chat1, chat2, r1, r2, s0, family)
+
+
+def _diag(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    out = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]), dtype=complex)
+    out[: m1.shape[0], : m1.shape[1]], out[m1.shape[0] :, m1.shape[1] :] = m1, m2
+    return out
 
 
 def build_rational_dsi(

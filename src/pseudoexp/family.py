@@ -1,29 +1,29 @@
 """Evaluation engine for matrix functions of the form C exp(M(vars)) chat.
 
-A solution family is described by
+A solution family is one node, described by
 
-* Pi(vars): horizontal concatenation of blocks C_i exp(M_i(vars)) chat_i,
-  where M_i(vars) = sum_v vars[v] G_v is linear in the variables, with one
-  constant generator G_v per variable and pairwise-commuting generators
+* Pi(vars) = C exp(M(vars)) chat, where M(vars) = sum_v vars[v] G_v with
+  one constant generator G_v per variable, commuting pairwise
   (Schrodinger's x A - i t A^2 has G_x = A, G_t = -i A^2),
-* S(vars) = S0 + sum_blocks sign_i C_i exp(M_i) R_i exp(M_i)* C_i*: each
-  node gives one ``PiBlock`` carrying its C, recipe, chat, R and sign, so
-  Pi and S are read off one list of blocks,
+* S(vars) = S0 + C exp(M) R exp(M)* C*, one ``PiBlock`` carrying C, the
+  recipe of M, chat and R. A direct sum of nodes is one node: two nodes of
+  opposite sign give C = [C1 C2], G_v = diag(G1_v, G2_v),
+  chat = diag(chat1, chat2) and R = diag(R1, -R2),
 * per-variable derivative rules expressing dS as finite sums
   c * (d^alpha Pi) nu (d^beta Pi)*, which hold because of the node
   identities and are cross-checked against brute-force differentiation.
 
 Commuting generators make exp(M) = prod_v exp(vars[v] G_v) (Moler and Van
-Loan, SIAM Review 45(1), 2003), d/dv exp(M) = G_v exp(M) and
-d^2/(dv dw) exp(M) = G_v G_w exp(M). A stack of points therefore needs one
-exp(x G_v) per distinct value x of each coordinate, not one exponential
-per point.
+Loan, SIAM Review 45(1), 2003) and commute with exp(M), so d^alpha Pi =
+C exp(M) G^alpha chat and each derivative of S is (C exp(M)) K (C exp(M))*
+for a constant K. A stack of points needs one exp(x G_v) per distinct value
+x of each coordinate, not one exponential per point.
 
 Points come stacked: an (N, nvars) array, last index the variable.
 ``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
 function W = Pi* S^-1, the quadratic form Q = Pi* S^-1 Pi and their
 derivatives all come from a view, stacked along a leading axis of length N,
-and share its exponentials, its S and its solves. The view's (N,) mask
+and share its C exp(M), its S and its solves. The view's (N,) mask
 ``ok`` is False where S is numerically singular; what is derived from S^-1
 is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
 ``s_direct`` and the families' public field functions also take one point
@@ -140,14 +140,13 @@ def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PiBlock:
-    """One factor block C exp(M(vars)) chat of Pi and, given R, its summand
-    sign * C exp(M) R exp(M)* C* of S."""
+    """The node's factor C exp(M) chat of Pi and, given R, its summand
+    C exp(M) R exp(M)* C* of S, both read from ce = C exp(M), (N, n, dim)."""
 
     c: np.ndarray
     recipe: ExponentRecipe
     chat: np.ndarray
     r: Optional[np.ndarray] = None
-    sign: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "c", linalg.as_matrix(self.c, "C"))
@@ -157,41 +156,36 @@ class PiBlock:
         if self.r is None:
             return
         object.__setattr__(self, "r", linalg.as_matrix(self.r, "R"))
-        if float(self.sign) not in (1.0, -1.0):
-            raise ValueError("term sign must be +1 or -1")
         if linalg.fro(self.r - linalg.adjoint(self.r)) > 1e-12 * (1.0 + linalg.fro(self.r)):
             raise ValueError("R must be Hermitian")
         if self.r.shape != (self.recipe.dim, self.recipe.dim):
             raise ValueError("R must conform with the recipe dimension")
 
+    def ce(self, points: np.ndarray) -> np.ndarray:
+        """C exp(M) at stacked points."""
+        return self.c @ self.recipe.exp_value(points)
+
     def value(self, points: np.ndarray) -> Callable[[Sequence[int]], np.ndarray]:
         """The function of a multi-index giving that derivative of the block
-        at stacked points; exp(M) is formed once, each derivative once."""
-        e = self.recipe.exp_value(points)
-        return functools.cache(lambda deriv: self.at(e, _canonical(deriv)))
+        at stacked points; C exp(M) is formed once, each derivative once."""
+        ce = self.ce(points)
+        return functools.cache(lambda deriv: self.at(ce, _canonical(deriv)))
 
-    def at(self, e: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
-        """d^deriv of the block, given exp(M) at stacked points."""
-        f = self.recipe.factor(deriv) @ e if deriv else e
-        return self.c @ f @ self.chat
+    def at(self, ce: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
+        """d^deriv of the block, given C exp(M) at stacked points."""
+        return ce @ (self.recipe.factor(deriv) @ self.chat if deriv else self.chat)
 
-    def term(self, e: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
-        """d^deriv of the block's S summand, given exp(M) at stacked points,
-        by the product rule."""
-        core = g0 = e @ self.r @ linalg.adjoint(e)
-        if deriv:
-            left = self.recipe.factor(deriv)
-            if len(deriv) == 1:
-                core = left @ g0 + g0 @ linalg.adjoint(left)
-            else:
-                dv, dw = (self.recipe.generators[i] for i in deriv)
-                core = (
-                    left @ g0
-                    + dv @ g0 @ linalg.adjoint(dw)
-                    + dw @ g0 @ linalg.adjoint(dv)
-                    + g0 @ linalg.adjoint(left)
-                )
-        return self.sign * (self.c @ core @ linalg.adjoint(self.c))
+    def term(self, ce: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
+        """d^deriv of the block's S summand, given C exp(M) at stacked
+        points: the product rule acts on the constant K between them."""
+        k, adj = self.r, linalg.adjoint
+        if len(deriv) == 1:
+            g = self.recipe.generators[deriv[0]]
+            k = g @ k + k @ adj(g)
+        elif deriv:
+            gv, gw = (self.recipe.generators[i] for i in deriv)
+            k = gv @ gw @ k + gv @ k @ adj(gw) + gw @ k @ adj(gv) + k @ adj(gv @ gw)
+        return ce @ k @ adj(ce)
 
 
 @dataclass(frozen=True)
@@ -209,15 +203,16 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 class _AtPoints:
-    """The view of a family at one stack of points: exp(M) once per recipe,
-    and Pi, S and Y = S^-1 Pi once per multi-index, given in any order.
-    Every Y solve eliminates the same S with the same pivots, so all give
-    one mask; ``ok`` is that of the Y solve, made when first read."""
+    """The view of a family at one stack of points: C exp(M) once, and Pi,
+    S and Y = S^-1 Pi once per multi-index, given in any order. Every Y
+    solve eliminates the same S with the same pivots, so all give one mask;
+    ``ok`` is that of the Y solve, made when first read."""
 
     def __init__(self, family: "PseudoExpFamily", points: np.ndarray):
         self.family = family
         self.points = points
-        self._exp, self._pi, self._s, self._y = {}, {}, {}, {}
+        self.ce = family.block.ce(points)
+        self._pi, self._s, self._y = {}, {}, {}
 
     @property
     def ok(self) -> np.ndarray:
@@ -225,17 +220,11 @@ class _AtPoints:
         self.y(())
         return self._ok
 
-    def exp(self, recipe: ExponentRecipe) -> np.ndarray:
-        if recipe not in self._exp:
-            self._exp[recipe] = recipe.exp_value(self.points)
-        return self._exp[recipe]
-
     def pi(self, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv Pi, (N, n, width)."""
         deriv = _canonical(deriv)
         if deriv not in self._pi:
-            blocks = self.family.blocks
-            self._pi[deriv] = np.concatenate([b.at(self.exp(b.recipe), deriv) for b in blocks], axis=-1)
+            self._pi[deriv] = self.family.block.at(self.ce, deriv)
         return self._pi[deriv]
 
     def s(self, deriv: Sequence[int] = ()) -> np.ndarray:
@@ -247,10 +236,7 @@ class _AtPoints:
         fam, adj = self.family, linalg.adjoint
         if not deriv:
             with np.errstate(over="ignore", invalid="ignore"):
-                s = np.broadcast_to(fam.s0, (len(self.points), fam.n, fam.n))
-                for blk in fam.blocks:
-                    s = s + blk.term(self.exp(blk.recipe))
-                out = _hermitize(s)
+                out = _hermitize(fam.s0 + fam.block.term(self.ce))
             bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
             if len(bad):
                 where = ", ".join(f"{v} = {float(x)}" for v, x in zip(fam.var_names, self.points[bad[0]]))
@@ -333,31 +319,24 @@ class PseudoExpFamily:
     def __init__(
         self,
         var_names: Sequence[str],
-        blocks: Sequence[PiBlock],
+        block: PiBlock,
         s0: np.ndarray,
         s_rules: Mapping[int, Sequence[SRule]],
     ):
         self.var_names = tuple(var_names)
         self.nvars = len(self.var_names)
-        self.blocks = list(blocks)
+        self.block = block
         self.s0 = linalg.as_matrix(s0, "S0")
         if linalg.fro(self.s0 - linalg.adjoint(self.s0)) > 1e-12 * (1.0 + linalg.fro(self.s0)):
             raise ValueError("S0 must be Hermitian")
         self.s_rules = {v: list(rules) for v, rules in s_rules.items()}
-        if not self.blocks:
-            raise ValueError("at least one Pi block is required")
-        if any(blk.r is None for blk in self.blocks):
-            raise ValueError("every block needs its R: each node gives one Pi block and one S summand")
-        rows = {blk.c.shape[0] for blk in self.blocks}
-        if len(rows) != 1:
-            raise ValueError("all Pi blocks must produce the same row count")
-        self.n = rows.pop()
+        if block.r is None:
+            raise ValueError("the block needs its R: the node gives Pi and the S summand")
+        self.n, self.width = block.c.shape[0], block.chat.shape[1]
         if self.s0.shape != (self.n, self.n):
             raise ValueError("S0 must be square with the Pi row count")
-        self.width = sum(blk.chat.shape[1] for blk in self.blocks)
-        for blk in self.blocks:
-            if blk.recipe.nvars != self.nvars:
-                raise ValueError(f"recipe has {blk.recipe.nvars} generators for {self.nvars} variables")
+        if block.recipe.nvars != self.nvars:
+            raise ValueError(f"recipe has {block.recipe.nvars} generators for {self.nvars} variables")
         for v in range(self.nvars):
             if v not in self.s_rules:
                 raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
@@ -376,11 +355,6 @@ class PseudoExpFamily:
 
     @pointwise(masked=False)
     def s_direct(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        """Same quantity by brute-force differentiation of the S summands."""
+        """Same quantity by brute-force differentiation of the S summand."""
         deriv = _canonical(deriv)
-        if not deriv:
-            return self.s(points)
-        out = np.zeros((len(points), self.n, self.n), dtype=complex)
-        for blk in self.blocks:
-            out = out + blk.term(blk.recipe.exp_value(points), deriv)
-        return out
+        return self.block.term(self.block.ce(points), deriv) if deriv else self.s(points)

@@ -164,7 +164,7 @@ def build_gnoe(
     recipe = ExponentRecipe([a1, a2, a3])
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat_big, r)],
+        PiBlock(c, recipe, chat_big, r),
         s0,
         {
             X: [SRule(-1.0, (), b_mat @ d_mat, ())],

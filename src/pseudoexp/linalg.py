@@ -49,8 +49,14 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def fro(m: np.ndarray):
     """Frobenius norm over the last two axes: a float for one matrix, an
-    array of norms for a stack."""
-    norms = np.linalg.norm(m, axis=(-2, -1))
+    array of norms for a stack. A norm reads inf only past the double range
+    or on entries that are not finite: squares of entries may overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.asarray(np.linalg.norm(m, axis=(-2, -1)))
+        if np.isinf(norms).any():
+            huge = np.isinf(norms) & np.isfinite(m).all(axis=(-2, -1))
+            big = np.abs(m[huge]).max(axis=(-2, -1))
+            norms[huge] = big * np.linalg.norm(m[huge] / big[:, None, None], axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 

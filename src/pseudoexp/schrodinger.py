@@ -110,7 +110,7 @@ def build_schrodinger(
     eye = np.eye(width, dtype=complex)
     family = PseudoExpFamily(
         VAR_NAMES,
-        [PiBlock(c, recipe, chat, node.r_mat)],
+        PiBlock(c, recipe, chat, node.r_mat),
         s0,
         {
             0: [SRule(1.0, (), eye, ())],

@@ -30,7 +30,7 @@ def _scenarios():
 def _recipes(sc):
     if isinstance(sc, loewner.LoewnerScenario):
         return [sc.lambda1.recipe, sc.lambda2.recipe]
-    return list({id(b.recipe): b.recipe for b in sc.family.blocks}.values())
+    return [sc.family.block.recipe]
 
 
 @pytest.mark.parametrize("label, sc, module", _scenarios(), ids=lambda v: v if isinstance(v, str) else "")
@@ -70,6 +70,9 @@ ROWS_PER_SWEEP = {"dirac": 11, "dsi": 15, "gnoe": 13, "loewner": 11, "schrodinge
 # Views per sweep: one on the grid, one for the FD call. Loewner is not a
 # pseudo-exponential family.
 VIEWS_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 0, "schrodinger": 2}
+# exp(M) evaluations per sweep: one per view, DS I's two nodes being one
+# block-diagonal node; Loewner forms each of its two factors once per call.
+EXP_VALUES_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 4, "schrodinger": 2}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)
@@ -79,17 +82,22 @@ def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     views = []
     at = family.PseudoExpFamily.at
     monkeypatch.setattr(family.PseudoExpFamily, "at", lambda fam, p: views.append(p) or at(fam, p))
+    exps = []
+    exp_value = family.ExponentRecipe.exp_value
+    monkeypatch.setattr(family.ExponentRecipe, "exp_value", lambda rec, p: exps.append(p) or exp_value(rec, p))
     counts = []
     for count in (3, 5):
         calls.clear()
         views.clear()
+        exps.clear()
         report = module.verify_scenario(sc, grid=module.default_grid(count=count))
         assert report.passed and report.masked_count == 0
         size = count ** len(module.VAR_NAMES)
         assert all(len(s) % size == 0 for s, _ in calls)
-        counts.append((len(calls), len(views), sum(len(s) for s, _ in calls) // size))
+        counts.append((len(calls), len(views), sum(len(s) for s, _ in calls) // size, len(exps)))
     name = module.SPEC.name
-    assert counts == [(SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name], ROWS_PER_SWEEP[name])] * 2
+    pins = (SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name], ROWS_PER_SWEEP[name], EXP_VALUES_PER_SWEEP[name])
+    assert counts == [pins] * 2
 
 
 def test_every_solve_of_a_view_gives_its_mask(monkeypatch):

@@ -198,6 +198,16 @@ class TestRun:
         assert f"config error: S overflows at {where}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, monkeypatch, capsys):
+        # 10^7 x 10^7 points need hundreds of TiB, beyond any address space,
+        # so the allocation fails at once.
+        monkeypatch.chdir(tmp_path)
+        grid = [{"name": v, "min": -1, "max": 1, "count": 10**7} for v in ("x", "t")]
+        path = write_config(tmp_path, grid=grid)
+        assert cli.main(["run", str(path)]) == 2
+        assert "config error: a grid of 100000000000000 points" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestSchemaErrors:
     def test_min_not_below_max(self, tmp_path):

@@ -80,14 +80,27 @@ class TestBuild:
                 nil, nil, np.eye(2), np.eye(3, 2), np.ones((2, 1)), np.ones((2, 1))
             )
 
-    def test_second_block_carries_the_negative_term(self, exponential):
-        # One block per node; the second node's S summand enters with sign -1.
-        first, second = exponential.family.blocks
-        assert first.sign == 1.0 and second.sign == -1.0
-        plus = dataclasses.replace(second, sign=1.0)
-        e = second.recipe.exp_value(np.array([(0.2, -0.3, 0.4), (-0.5, 0.1, 0.6)]))
-        for deriv in ((), (0,), (1, 2)):
-            assert np.array_equal(second.term(e, deriv), -plus.term(e, deriv))
+    def test_one_block_diagonal_node_matches_the_two_node_forms(self, rational, exponential):
+        # The two nodes are one node with R = diag(R1, -R2); its S and Pi are
+        # the two-node forms S0 + C1 E1 R1 E1* C1* - C2 E2 R2 E2* C2* and
+        # [C1 E1 chat1, C2 E2 chat2], each E_k the exponential of node k's
+        # own exponent.
+        adj = linalg.adjoint
+        points = np.array([(0.2, -0.3, 0.4), (-0.5, 0.1, 0.6), (1.1, 0.7, -0.8)])
+        for sc in (rational, exponential):
+            k = sc.r1.shape[0]
+            r = np.zeros((k + sc.r2.shape[0],) * 2, dtype=complex)
+            r[:k, :k], r[k:, k:] = sc.r1, -sc.r2
+            assert np.array_equal(sc.family.block.r, r)
+            view = sc.family.at(points)
+            for (x, t, y), s, pi in zip(points, view.s(), view.pi()):
+                e1 = linalg.mat_exp((x + y) * sc.a1 - 1j * t * sc.a1 @ sc.a1)
+                e2 = linalg.mat_exp((x - y) * sc.a2 + 1j * t * sc.a2 @ sc.a2)
+                f1, f2 = sc.c1 @ e1, sc.c2 @ e2
+                s_want = sc.s0 + f1 @ sc.r1 @ adj(f1) - f2 @ sc.r2 @ adj(f2)
+                pi_want = np.hstack([f1 @ sc.chat1, f2 @ sc.chat2])
+                assert linalg.fro(s - s_want) <= 1e-13 * linalg.fro(s_want)
+                assert linalg.fro(pi - pi_want) <= 1e-13 * linalg.fro(pi_want)
 
     def test_j_mat(self, rational):
         assert np.array_equal(rational.j_mat, np.diag([1.0 + 0j, -1.0]))

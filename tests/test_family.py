@@ -27,14 +27,14 @@ def schrodinger_recipe(a):
 
 def schrodinger_family(a, c, chat, s0, r):
     recipe = schrodinger_recipe(a)
-    blocks = [PiBlock(c, recipe, chat, r)]
+    block = PiBlock(c, recipe, chat, r)
     width = np.asarray(chat).shape[1]
     eye = np.eye(width, dtype=complex)
     rules = {
         0: [SRule(1.0, (), eye, ())],
         1: [SRule(-1j, (0,), eye, ()), SRule(1j, (), eye, (0,))],
     }
-    return PseudoExpFamily(("x", "t"), blocks, s0, rules)
+    return PseudoExpFamily(("x", "t"), block, s0, rules)
 
 
 @pytest.fixture
@@ -183,7 +183,7 @@ class TestPiBlock:
 
 
 class TestSTerm:
-    """The S term a block carries: sign * C exp(M) R exp(M)* C*."""
+    """The S term a block carries: C exp(M) R exp(M)* C*."""
 
     def test_frozen_s_at_origin(self, rational_family):
         s = rational_family.s((0.0, 0.0))
@@ -203,31 +203,27 @@ class TestSTerm:
         with pytest.raises(ValueError, match="R must conform"):
             PiBlock(np.eye(2, dtype=complex), rec, chat, np.eye(3, dtype=complex))
 
-    def test_rejects_bad_sign(self):
-        rec = schrodinger_recipe(np.eye(2, dtype=complex))
-        chat = np.ones((2, 1), dtype=complex)
-        with pytest.raises(ValueError, match="sign"):
-            PiBlock(np.eye(2, dtype=complex), rec, chat, np.eye(2, dtype=complex), 2.0)
-
     def test_negative_sign_flips_contribution(self):
-        a = np.array([[1.0]], dtype=complex)
-        rec = ExponentRecipe([a])
-        c = np.eye(1, dtype=complex)
-        r = np.eye(1, dtype=complex)
-        plus = PiBlock(c, rec, c, r)
-        minus = PiBlock(c, rec, c, r, -1.0)
-        e = rec.exp_value(np.array([(0.3,)]))
-        assert np.array_equal(plus.term(e), -minus.term(e))
+        # A negated R gives the bitwise negated term, at every order.
+        a = np.array([[1.0, 0.5], [0.0, -0.3]], dtype=complex)
+        rec = ExponentRecipe([a, a @ a])
+        c = np.array([[1.0, 2.0]], dtype=complex)
+        r = np.array([[1.0, 0.2j], [-0.2j, 0.5]], dtype=complex)
+        plus = PiBlock(c, rec, c.T, r)
+        minus = PiBlock(c, rec, c.T, -r)
+        ce = plus.ce(np.array([(0.3, -0.2), (-0.1, 0.4)]))
+        for deriv in ((), (0,), (0, 1)):
+            assert np.array_equal(plus.term(ce, deriv), -minus.term(ce, deriv))
 
     def test_core_derivative_against_fd(self, singular_line_family):
-        # With C = I and sign +1 the term is the core exp(M) R exp(M)* itself.
-        (blk,) = singular_line_family.blocks
-        assert blk.sign == 1.0 and np.array_equal(blk.c, np.eye(2))
+        # With C = I the term is the core exp(M) R exp(M)* itself.
+        blk = singular_line_family.block
+        assert np.array_equal(blk.c, np.eye(2))
         pt = (0.2, -0.1)
         h = 1e-6
 
         def core(point, deriv=()):
-            return blk.term(blk.recipe.exp_value(np.array([point])), deriv)[0]
+            return blk.term(blk.c @ blk.recipe.exp_value(np.array([point])), deriv)[0]
 
         fd = (core((pt[0], pt[1] + h)) - core((pt[0], pt[1] - h))) / (2 * h)
         an = core(pt, (1,))
@@ -272,7 +268,7 @@ class TestSEvaluation:
         with pytest.raises(ValueError, match="rule"):
             PseudoExpFamily(
                 ("x", "t"),
-                rational_family.blocks,
+                rational_family.block,
                 rational_family.s0,
                 {0: rational_family.s_rules[0]},
             )
@@ -282,21 +278,16 @@ class TestSEvaluation:
         rec = ExponentRecipe([one])
         rules = {0: [SRule(1.0, (), one, ())], 1: [SRule(1.0, (), one, ())]}
         with pytest.raises(ValueError, match="1 generators for 2 variables"):
-            PseudoExpFamily(("x", "t"), [PiBlock(one, rec, one, one)], one, rules)
+            PseudoExpFamily(("x", "t"), PiBlock(one, rec, one, one), one, rules)
         with pytest.raises(ValueError, match="2 generators for 1 variables"):
-            PseudoExpFamily(
-                ("x",),
-                [PiBlock(one, rec, one, one), PiBlock(one, ExponentRecipe([one, one]), one, one)],
-                one,
-                {0: rules[0]},
-            )
+            PseudoExpFamily(("x",), PiBlock(one, ExponentRecipe([one, one]), one, one), one, {0: rules[0]})
 
     def test_block_without_r_rejected(self, rational_family):
-        (blk,) = rational_family.blocks
+        blk = rational_family.block
         with pytest.raises(ValueError, match="needs its R"):
             PseudoExpFamily(
                 ("x", "t"),
-                [PiBlock(blk.c, blk.recipe, blk.chat)],
+                PiBlock(blk.c, blk.recipe, blk.chat),
                 rational_family.s0,
                 rational_family.s_rules,
             )
@@ -305,7 +296,7 @@ class TestSEvaluation:
         with pytest.raises(ValueError, match="Hermitian"):
             PseudoExpFamily(
                 ("x", "t"),
-                rational_family.blocks,
+                rational_family.block,
                 np.array([[1j]]),
                 rational_family.s_rules,
             )
@@ -407,16 +398,13 @@ class TestQuantities:
 
 class TestMultiBlock:
     def test_two_blocks_concatenate(self):
-        a1 = np.array([[0.5]], dtype=complex)
-        a2 = np.array([[-0.25]], dtype=complex)
-        rec1 = ExponentRecipe([a1])
-        rec2 = ExponentRecipe([a2])
-        c = np.eye(1, dtype=complex)
-        blocks = [PiBlock(c, rec1, c, np.eye(1, dtype=complex)), PiBlock(c, rec2, c, np.eye(1, dtype=complex))]
+        # Two nodes as one block-diagonal node: Pi is their concatenation.
+        gen = np.diag([0.5, -0.25]).astype(complex)
+        c = np.ones((1, 2), dtype=complex)
         eye2 = np.eye(2, dtype=complex)
         fam = PseudoExpFamily(
             ("x",),
-            blocks,
+            PiBlock(c, ExponentRecipe([gen]), eye2, eye2),
             np.eye(1, dtype=complex),
             {0: [SRule(1.0, (), eye2, ())]},
         )
@@ -426,16 +414,3 @@ class TestMultiBlock:
         assert pi[0, 0] == pytest.approx(np.exp(0.4))
         assert pi[0, 1] == pytest.approx(np.exp(-0.2))
         assert fam.width == 2
-
-    def test_mismatched_block_rows_rejected(self):
-        a = np.array([[0.5]], dtype=complex)
-        rec = ExponentRecipe([a])
-        one = np.eye(1, dtype=complex)
-        two_rows = np.ones((2, 1), dtype=complex)
-        with pytest.raises(ValueError, match="row count"):
-            PseudoExpFamily(
-                ("x",),
-                [PiBlock(one, rec, one, one), PiBlock(two_rows, rec, one, np.eye(1, dtype=complex))],
-                one,
-                {0: [SRule(1.0, (), one, ())]},
-            )

@@ -266,3 +266,18 @@ class TestHelpers:
         rng = np.random.default_rng(1)
         m = random_complex(rng, 3, 2)
         assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
+
+    def test_fro_of_huge_finite_entries(self):
+        # Squares of entries above about 1.3e154 overflow; the norm does not.
+        huge = np.array([[1e200, 2e200], [3.0, -4e199j]])
+        want = 1e200 * np.sqrt(5.16)
+        assert linalg.fro(huge) == pytest.approx(want, rel=1e-15)
+        rng = np.random.default_rng(2)
+        ordinary = random_complex(rng, 2, 2, 2)
+        stack = np.stack([ordinary[0], huge, 0 * huge, ordinary[1], -2 * huge])
+        got = linalg.fro(stack)
+        # every norm that does not overflow is numpy's, bitwise
+        assert np.array_equal(got[[0, 2, 3]], np.linalg.norm(stack[[0, 2, 3]], axis=(-2, -1)))
+        np.testing.assert_allclose(got[[1, 4]], [want, 2 * want], rtol=1e-15)
+        # past the double range the norm reads inf, still without a warning
+        assert linalg.fro(np.full((2, 2), 1e308)) == np.inf

@@ -155,6 +155,13 @@ class TestResiduals:
             assert rep.passed, rep.to_dict()
             assert rep.masked_count == 0
 
+    def test_far_field_sweep_returns_a_report(self):
+        # |x| up to 2000 makes entries whose squares overflow; the sweep
+        # still reports, with no overflow warning.
+        sc = random_scenario(np.random.default_rng(0))
+        grid = verify.Grid((verify.Axis("x", -2000.0, 2000.0, 5), verify.Axis("y", -1.0, 1.0, 3)))
+        assert verify_scenario(sc, grid=grid).total_points == 15
+
     def test_fd_channel(self, generic_scenario):
         ev = evaluator(generic_scenario)
         (channels, scale), ok = ev(np.array([(0.21, -0.35)]))
