@@ -17,7 +17,11 @@ Commuting generators make exp(M) = prod_v exp(vars[v] G_v) (Moler and Van
 Loan, SIAM Review 45(1), 2003) and commute with exp(M), so d^alpha Pi =
 C exp(M) G^alpha chat and each derivative of S is (C exp(M)) K (C exp(M))*
 for a constant K. A stack of points needs one exp(x G_v) per distinct value
-x of each coordinate, not one exponential per point.
+x of each coordinate, not one exponential per point. The recipe forms each
+generator's Taylor terms once, so exp(x G_v) is a polynomial in the scalar
+x followed by squarings (``ExponentRecipe.exp_value``). Every per-point
+product of small matrices goes through ``linalg.mul``, so a point of a
+stack comes out bitwise equal to a stack of that point alone.
 
 Points come stacked: an (N, nvars) array, last index the variable.
 ``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
@@ -52,6 +56,8 @@ __all__ = [
 
 MAX_DERIV_ORDER = 2
 COMMUTATOR_RTOL = 1e-10
+# Degree of the Taylor polynomial of exp, at radius 1/2 as in linalg.mat_exp.
+_TAYLOR_DEGREE = 16
 
 
 def pointwise(masked: bool) -> Callable:
@@ -113,15 +119,40 @@ class ExponentRecipe:
         self.generators = gens
         self.nvars = len(gens)
         self.dim = int(dim)
+        self._taylor = _taylor_terms(np.array(gens))
 
     def exp_value(self, points: np.ndarray) -> np.ndarray:
         """exp(M) at stacked points as the product of exp(x G_v) over the
-        variables, with one stacked ``mat_exp`` per variable over its values."""
+        variables, each evaluated once per distinct value x of its coordinate.
+
+        exp(x G) is ``linalg.mat_exp``'s rule without its matrix products: x G
+        takes s squarings with ||x G / 2^s||_1 <= 1/2, so exp(x G / 2^s) is
+        the Taylor polynomial in y = x 2^e / 2^s of G / 2^e, whose terms the
+        recipe holds, evaluated by Horner with real scalars only; a nilpotent
+        G takes its exact finite sum and no squaring. The squarings and the
+        product over the variables use ``linalg.mul``, so each point comes
+        out bitwise equal to its own call. An overflow is left for the caller
+        to report, without a warning."""
         out = None
-        for v, g in enumerate(self.generators):
-            values, inverse = np.unique(points[:, v], return_inverse=True)
-            factors = linalg.mat_exp(values[:, None, None] * g)
-            out = factors[inverse] if out is None else out @ factors[inverse]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, (norm, e, terms, nilpotent) in enumerate(self._taylor):
+                values, inverse = np.unique(points[:, v], return_inverse=True)
+                size = np.abs(values) * norm
+                if not np.isfinite(size).all():
+                    raise ValueError(f"exponent x G_{v} contains non-finite entries")
+                squarings = np.zeros(len(values), dtype=int)
+                if not nilpotent:
+                    with np.errstate(divide="ignore"):
+                        squarings = np.maximum(0, np.ceil(np.log2(size / 0.5))).astype(int)
+                y = np.ldexp(values, e - squarings)[:, None, None]
+                acc = np.broadcast_to(terms[-1], y.shape[:1] + terms.shape[1:])
+                for t in terms[-2::-1]:
+                    acc = t + y * acc
+                factors = np.ascontiguousarray(acc).view(complex)
+                for j in range(squarings.max(initial=0)):
+                    sq = np.flatnonzero(squarings > j)
+                    factors[sq] = linalg.mul(factors[sq], factors[sq])
+                out = factors[inverse] if out is None else linalg.mul(out, factors[inverse])
         return out
 
     def factor(self, deriv: tuple[int, ...]) -> np.ndarray:
@@ -130,6 +161,32 @@ class ExponentRecipe:
             return self.generators[deriv[0]]
         v, w = deriv
         return self.generators[v] @ self.generators[w]
+
+
+def _taylor_terms(gens: np.ndarray) -> list:
+    """Per generator G of a (V, dim, dim) stack: (||G||_1, e, terms,
+    nilpotent), with e >= 0 the least such that 2^e > ||G||_1 and the terms
+    (G / 2^e)^j / j! as real views, (J, dim, 2 dim): for j <= 16, or for
+    j < k where G^k = 0 exactly for some k <= dim (nilpotent G). Scaling by
+    2^e is exact, and the powers come from a handful of stacked products."""
+    dim = gens.shape[-1]
+    norms = np.abs(gens).sum(axis=-2).max(axis=-1)
+    e = np.maximum(0, np.frexp(norms)[1])
+    scaled = gens * np.ldexp(1.0, -e)[:, None, None]
+    powers = scaled[:, None]
+    while powers.shape[1] < max(_TAYLOR_DEGREE, dim):
+        powers = np.concatenate([powers, powers @ powers[:, -1:]], axis=1)
+    # Index of nilpotency: the first power that is exactly zero, else 0.
+    zero = ~powers[:, :dim].any(axis=(-2, -1))
+    index = np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, 0)
+    factorials = np.cumprod(np.arange(1.0, _TAYLOR_DEGREE + 1))[:, None, None]
+    eye = np.eye(dim, dtype=complex)[None]
+    out = []
+    for v in range(len(gens)):
+        count = index[v] or _TAYLOR_DEGREE + 1
+        terms = np.concatenate([eye, powers[v, : count - 1] / factorials[: count - 1]])
+        out.append((float(norms[v]), int(e[v]), terms.view(float), bool(index[v])))
+    return out
 
 
 def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
@@ -156,14 +213,14 @@ class PiBlock:
         if self.r is None:
             return
         object.__setattr__(self, "r", linalg.as_matrix(self.r, "R"))
-        if linalg.fro(self.r - linalg.adjoint(self.r)) > 1e-12 * (1.0 + linalg.fro(self.r)):
-            raise ValueError("R must be Hermitian")
         if self.r.shape != (self.recipe.dim, self.recipe.dim):
             raise ValueError("R must conform with the recipe dimension")
+        if linalg.fro(self.r - linalg.adjoint(self.r)) > 1e-12 * (1.0 + linalg.fro(self.r)):
+            raise ValueError("R must be Hermitian")
 
     def ce(self, points: np.ndarray) -> np.ndarray:
         """C exp(M) at stacked points."""
-        return self.c @ self.recipe.exp_value(points)
+        return linalg.mul(self.c, self.recipe.exp_value(points))
 
     def value(self, points: np.ndarray) -> Callable[[Sequence[int]], np.ndarray]:
         """The function of a multi-index giving that derivative of the block
@@ -173,7 +230,7 @@ class PiBlock:
 
     def at(self, ce: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
         """d^deriv of the block, given C exp(M) at stacked points."""
-        return ce @ (self.recipe.factor(deriv) @ self.chat if deriv else self.chat)
+        return linalg.mul(ce, self.recipe.factor(deriv) @ self.chat if deriv else self.chat)
 
     def term(self, ce: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
         """d^deriv of the block's S summand, given C exp(M) at stacked
@@ -185,7 +242,7 @@ class PiBlock:
         elif deriv:
             gv, gw = (self.recipe.generators[i] for i in deriv)
             k = gv @ gw @ k + gv @ k @ adj(gw) + gw @ k @ adj(gv) + k @ adj(gv @ gw)
-        return ce @ k @ adj(ce)
+        return linalg.mul(linalg.mul(ce, k), adj(ce))
 
 
 @dataclass(frozen=True)
@@ -233,7 +290,7 @@ class _AtPoints:
         deriv = _canonical(deriv)
         if deriv in self._s:
             return self._s[deriv]
-        fam, adj = self.family, linalg.adjoint
+        fam, adj, mul = self.family, linalg.adjoint, linalg.mul
         if not deriv:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = _hermitize(fam.s0 + fam.block.term(self.ce))
@@ -245,33 +302,30 @@ class _AtPoints:
             v, rest = deriv[0], deriv[1:]
             out = np.zeros((len(self.points), fam.n, fam.n), dtype=complex)
             for rule in fam.s_rules[v]:
-                if not rest:
-                    out = out + rule.coeff * (self.pi(rule.left) @ rule.middle @ adj(self.pi(rule.right)))
-                else:
-                    w = rest[0]
-                    out = out + rule.coeff * (
-                        self.pi(rule.left + (w,)) @ rule.middle @ adj(self.pi(rule.right))
-                    )
-                    out = out + rule.coeff * (
-                        self.pi(rule.left) @ rule.middle @ adj(self.pi(rule.right + (w,)))
-                    )
+                # d/dw of a summand moves w onto its left factor, then its right.
+                sides = [(rule.left, rule.right)]
+                if rest:
+                    sides = [(rule.left + rest, rule.right), (rule.left, rule.right + rest)]
+                for left, right in sides:
+                    out = out + rule.coeff * mul(mul(self.pi(left), rule.middle), adj(self.pi(right)))
         self._s[deriv] = out
         return out
 
     def y(self, deriv: tuple[int, ...]) -> np.ndarray:
         """d^deriv Y for a sorted multi-index, by one solve against S."""
+        mul = linalg.mul
         if deriv not in self._y:
             if not deriv:
                 u = self.pi(())
             elif len(deriv) == 1:
-                u = self.pi(deriv) - self.s(deriv) @ self.y(())
+                u = self.pi(deriv) - mul(self.s(deriv), self.y(()))
             else:
                 v, w = deriv
                 u = (
                     self.pi(deriv)
-                    - self.s(deriv) @ self.y(())
-                    - self.s((v,)) @ self.y((w,))
-                    - self.s((w,)) @ self.y((v,))
+                    - mul(self.s(deriv), self.y(()))
+                    - mul(self.s((v,)), self.y((w,)))
+                    - mul(self.s((w,)), self.y((v,)))
                 )
             y, ok = linalg.solve_pivoted(self.s(()), u)
             if not deriv:
@@ -286,25 +340,25 @@ class _AtPoints:
     def q(self, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv Q via d(S^-1) = -S^-1 (dS) S^-1; Hermitian."""
         deriv = _canonical(deriv)
-        adj = linalg.adjoint
+        adj, mul = linalg.adjoint, linalg.mul
         y0 = self.y(())
         if not deriv:
-            return _hermitize(adj(self.pi(())) @ y0)
+            return _hermitize(mul(adj(self.pi(())), y0))
         if len(deriv) == 1:
             pv = self.pi(deriv)
-            return _hermitize(adj(pv) @ y0 + adj(y0) @ pv - adj(y0) @ self.s(deriv) @ y0)
+            return _hermitize(mul(adj(pv), y0) + mul(adj(y0), pv) - mul(mul(adj(y0), self.s(deriv)), y0))
         v, w = deriv
         pv, pvw = self.pi((v,)), self.pi(deriv)
         yw = self.y((w,))
         sv, svw = self.s((v,)), self.s(deriv)
         return _hermitize(
-            adj(pvw) @ y0
-            + adj(pv) @ yw
-            + adj(yw) @ pv
-            + adj(y0) @ pvw
-            - adj(yw) @ sv @ y0
-            - adj(y0) @ svw @ y0
-            - adj(y0) @ sv @ yw
+            mul(adj(pvw), y0)
+            + mul(adj(pv), yw)
+            + mul(adj(yw), pv)
+            + mul(adj(y0), pvw)
+            - mul(mul(adj(yw), sv), y0)
+            - mul(mul(adj(y0), svw), y0)
+            - mul(mul(adj(y0), sv), yw)
         )
 
 
@@ -326,15 +380,15 @@ class PseudoExpFamily:
         self.var_names = tuple(var_names)
         self.nvars = len(self.var_names)
         self.block = block
-        self.s0 = linalg.as_matrix(s0, "S0")
-        if linalg.fro(self.s0 - linalg.adjoint(self.s0)) > 1e-12 * (1.0 + linalg.fro(self.s0)):
-            raise ValueError("S0 must be Hermitian")
-        self.s_rules = {v: list(rules) for v, rules in s_rules.items()}
         if block.r is None:
             raise ValueError("the block needs its R: the node gives Pi and the S summand")
         self.n, self.width = block.c.shape[0], block.chat.shape[1]
+        self.s0 = linalg.as_matrix(s0, "S0")
         if self.s0.shape != (self.n, self.n):
             raise ValueError("S0 must be square with the Pi row count")
+        if linalg.fro(self.s0 - linalg.adjoint(self.s0)) > 1e-12 * (1.0 + linalg.fro(self.s0)):
+            raise ValueError("S0 must be Hermitian")
+        self.s_rules = {v: list(rules) for v, rules in s_rules.items()}
         if block.recipe.nvars != self.nvars:
             raise ValueError(f"recipe has {block.recipe.nvars} generators for {self.nvars} variables")
         for v in range(self.nvars):

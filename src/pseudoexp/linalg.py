@@ -1,10 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
-complex128, or stacks of them along a leading axis (``adjoint``, ``fro`` and
-``mat_exp`` act on the last two axes; ``solve_pivoted`` takes stacks only).
-Desk scale only: matrix dimensions are small (a few dozen at most), so the
-solvers favour transparency over asymptotics.
+complex128, or stacks of them along a leading axis (``adjoint``, ``fro``,
+``mul`` and ``mat_exp`` act on the last two axes; ``solve_pivoted`` takes
+stacks only). Desk scale only: matrix dimensions are small (a few dozen at
+most), so the solvers favour transparency over asymptotics. ``mul`` is the
+product of the engine's stacks of 2x2 to 4x4 matrices, where numpy's
+stacked matmul pays one BLAS call per matrix; ``mat_exp`` is the general
+exponential, which the tests use as a reference.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ __all__ = [
     "as_matrix",
     "adjoint",
     "fro",
+    "mul",
     "mat_exp",
     "solve_sylvester",
     "solve_pivoted",
@@ -58,6 +62,29 @@ def fro(m: np.ndarray):
             big = np.abs(m[huge]).max(axis=(-2, -1))
             norms[huge] = big * np.linalg.norm(m[huge] / big[:, None, None], axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices; either operand may be one matrix.
+
+    numpy's stacked matmul makes one BLAS call per complex matrix, which
+    dominates for the 2x2 to 4x4 products of the engine. Here the product is
+    the sum over the inner index j, in order, of the broadcast products
+    a[..., :, j] b[..., j, :], so each entry of a stack comes out bitwise
+    equal to that matrix's own call. A result with one row or one column
+    falls through to ``@`` (numpy vectorises those itself, and the broadcast
+    would run along the stack, where fused multiply-adds could make a
+    point's last bit depend on the stack), as do products with more than 64
+    multiplications per matrix, where per-matrix BLAS is faster.
+    """
+    n, d = a.shape[-2:]
+    m = b.shape[-1]
+    if min(n, m) < 2 or not 0 < n * d * m <= 64:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, d):
+        out = out + a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
 
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:

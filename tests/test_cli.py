@@ -176,11 +176,15 @@ class TestRun:
         assert (tmp_path / "out.csv").read_bytes() == first
 
     # S past the double range exits 2 naming the first such grid point, with
-    # no RuntimeWarning (warnings fail the suite) and no file written.
+    # no RuntimeWarning (warnings fail the suite) and no file written. With
+    # mu0 = 1e20, ||G_t|| is about 1e40 and exp(t G_t) takes about 134
+    # squarings, so the sign of the roundoff in a unit-modulus eigenvalue
+    # decides between overflow and underflow: at (-1, -1), exp(x A) underflows
+    # to zero and exp(t G_t) overflows, and 0 * inf leaves S not finite.
     @pytest.mark.parametrize(
         "name, params, x_range, where",
         [
-            ("schrodinger-rational", {"mu0": 1e20}, None, "x = 0.25, t = -1.0"),
+            ("schrodinger-rational", {"mu0": 1e20}, None, "x = -1.0, t = -1.0"),
             ("schrodinger-nonsingular", {}, (-400, 400), "x = 400.0, t = -1.0"),
         ],
     )
@@ -297,6 +301,17 @@ class TestSchemaErrors:
             tmp_path, params={"builder": "rational", "mu0": [1, 2, 3]}
         )
         assert cli.main(["validate", str(path)]) == 2
+
+    # A misshaped S0 is named by its shape, not by the Hermitian test or
+    # numpy's broadcast error.
+    @pytest.mark.parametrize("s0", [[[1, 2]], [[1, 0], [0, 1], [0, 0]]], ids=["1x2", "3x2"])
+    def test_misshaped_s0(self, tmp_path, capsys, s0):
+        config = json.loads(Path(next(p for n, _, p in cli.catalog() if n == "gnoe-diagonal")).read_text())
+        config["params"]["s0"] = s0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "config error: S0 must be square with the Pi row count" in capsys.readouterr().err
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == 2

@@ -1,9 +1,10 @@
 """Tests for the C exp(M) chat evaluation engine."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from pseudoexp import linalg
+from pseudoexp import dsi, linalg
 from pseudoexp.family import (
     ExponentRecipe,
     PiBlock,
@@ -114,7 +115,8 @@ class TestExponentRecipe:
         assert np.array_equal(rec.exp_value(stack)[0], rec.exp_value(stack[:1])[0])
 
     def test_one_exponential_per_generator(self, monkeypatch):
-        rec = schrodinger_recipe(np.array([[1j, 1.0], [0.0, 1j]], dtype=complex))
+        # The Taylor terms of each generator are formed at construction, so
+        # exp_value makes no mat_exp call, at construction or after.
         mat_exp, calls = linalg.mat_exp, []
 
         def counting(m):
@@ -122,15 +124,72 @@ class TestExponentRecipe:
             return mat_exp(m)
 
         monkeypatch.setattr(linalg, "mat_exp", counting)
+        rec = schrodinger_recipe(np.array([[1j, 1.0], [0.0, 1j]], dtype=complex))
         grid = np.array([(x, t) for x in (0.1, 0.2, 0.3) for t in (-0.5, 0.5)])
-        assert rec.exp_value(grid).shape == (6, 2, 2)
-        # one stacked call per generator, over its coordinate's distinct values
-        assert [m.shape for m in calls] == [(3, 2, 2), (2, 2, 2)]
-        for m, values, g in zip(calls, ([0.1, 0.2, 0.3], [-0.5, 0.5]), rec.generators):
-            assert np.array_equal(m, np.array(values)[:, None, None] * g)
-        calls.clear()
+        got = rec.exp_value(grid)
+        assert got.shape == (6, 2, 2)
         assert rec.exp_value(np.zeros((0, 2))).shape == (0, 2, 2)
-        assert [m.shape for m in calls] == [(0, 2, 2), (0, 2, 2)]
+        assert calls == []
+        for point, e in zip(grid, got):
+            want = mat_exp(sum(x * g for x, g in zip(point, rec.generators)))
+            assert linalg.fro(e - want) <= 1e-13 * linalg.fro(want)
+
+    def test_non_finite_exponent_rejected(self):
+        # |x| ||G||_1 past the double range has no squaring count
+        rec = ExponentRecipe([np.array([[2.0, 1.0], [0.0, 2.0]])])
+        for x in (1e308, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                rec.exp_value(np.array([[0.5], [x]]))
+
+    def test_exp_value_matches_mpmath(self):
+        # 40-digit expm of x G as the reference, for dimensions 1 to 4, with
+        # ||x G||_1 up to 75, which takes 8 squarings.
+        rng = np.random.default_rng(41)
+        values = np.array([-7.5, -2.0, -0.3, 0.0, 0.05, 1.0, 4.25, 7.5])
+        for dim in range(1, 5):
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = h + linalg.adjoint(h)
+            rotation = -1j * h / np.abs(h).sum(axis=0).max() * 10.0
+            drift = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for g in (rotation, 0.5 * drift):
+                rec = ExponentRecipe([g])
+                norm = np.abs(g).sum(axis=0).max()
+                if g is rotation:
+                    assert np.ceil(np.log2(7.5 * norm / 0.5)) >= 8
+                got = rec.exp_value(values[:, None])
+                for x, e in zip(values, got):
+                    want = mp_expm(x, g)
+                    assert linalg.fro(e - want) <= 1e-13 * linalg.fro(want), (dim, x)
+
+    def test_nilpotent_generators_match_mpmath(self):
+        # DS I's rational instance: diag(N, N), the zero generator and
+        # diag(N, -N), each with its exact finite sum.
+        rec = dsi.build_rational_dsi().family.block.recipe
+        values = np.array([-7.5, -0.75, 0.0, 0.3, 6.0])
+        for v, g in enumerate(rec.generators):
+            points = np.zeros((len(values), 3))
+            points[:, v] = values
+            for x, e in zip(values, rec.exp_value(points)):
+                want = mp_expm(x, g)
+                assert linalg.fro(e - want) <= 1e-13 * linalg.fro(want), (v, x)
+                assert np.array_equal(e, np.eye(4) + x * g)
+
+    def test_zero_gives_the_identity_exactly(self):
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for rec in (ExponentRecipe([a, a @ a, 40.0 * a]), dsi.build_rational_dsi().family.block.recipe):
+            # zeros of either sign, in a stack that also holds a nonzero value
+            points = np.array([(0.0, 0.0, 0.0), (0.0, 0.5, 0.0), (-0.0, 0.0, -0.0)])
+            got = rec.exp_value(points)
+            assert np.array_equal(got[[0, 2]], np.broadcast_to(np.eye(rec.dim), (2, rec.dim, rec.dim)))
+
+
+def mp_expm(x: float, g: np.ndarray) -> np.ndarray:
+    """exp(x G) to 40 digits, rounded to complex128."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[x * mpmath.mpc(z.real, z.imag) for z in row] for row in g])
+        e = mpmath.expm(m)
+        return np.array([[complex(e[i, j]) for j in range(e.cols)] for i in range(e.rows)])
 
 
 class TestPiBlock:
@@ -200,8 +259,10 @@ class TestSTerm:
     def test_rejects_r_of_another_dimension(self):
         rec = schrodinger_recipe(np.eye(2, dtype=complex))
         chat = np.ones((2, 1), dtype=complex)
-        with pytest.raises(ValueError, match="R must conform"):
-            PiBlock(np.eye(2, dtype=complex), rec, chat, np.eye(3, dtype=complex))
+        # the shape is checked first: a 2 x 3 R has no Hermitian part to test
+        for r in (np.eye(3, dtype=complex), np.ones((2, 3), dtype=complex)):
+            with pytest.raises(ValueError, match="R must conform with the recipe dimension"):
+                PiBlock(np.eye(2, dtype=complex), rec, chat, r)
 
     def test_negative_sign_flips_contribution(self):
         # A negated R gives the bitwise negated term, at every order.

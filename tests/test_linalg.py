@@ -123,6 +123,55 @@ class TestMatExp:
             assert got.shape == shape and got.dtype == complex
 
 
+# Every (n, d, m) with each side from 1 to 4, plus a 6 x 6 x 6 product, and
+# the stack sizes of the engine: none, one, a few, and the FD stacks.
+MUL_SHAPES = [(n, d, m) for n in range(1, 5) for d in range(1, 5) for m in range(1, 5)] + [(6, 6, 6)]
+MUL_COUNTS = (0, 1, 2, 13, 169, 1352)
+
+
+class TestMul:
+    @staticmethod
+    def operands(rng, n, d, m, count):
+        """stack @ stack, stack @ matrix and matrix @ stack."""
+        a, b = random_complex(rng, count, n, d), random_complex(rng, count, d, m)
+        return [(a, b), (a, random_complex(rng, d, m)), (random_complex(rng, n, d), b)]
+
+    @staticmethod
+    def own(a, b, k):
+        """Matrix k's operands: a single matrix stays as it is."""
+        return (a[k] if a.ndim == 3 else a), (b[k] if b.ndim == 3 else b)
+
+    @pytest.mark.parametrize("n, d, m", MUL_SHAPES, ids=lambda v: str(v))
+    def test_agrees_with_matmul(self, n, d, m):
+        rng = np.random.default_rng(n * 100 + d * 10 + m)
+        for count in MUL_COUNTS:
+            for a, b in self.operands(rng, n, d, m, count):
+                got, want = linalg.mul(a, b), a @ b
+                assert got.shape == want.shape == (count, n, m)
+                bound = 1e-15 * linalg.fro(a) * linalg.fro(b)
+                assert np.all(linalg.fro(got - want) <= bound)
+
+    @pytest.mark.parametrize("n, d, m", MUL_SHAPES, ids=lambda v: str(v))
+    def test_each_matrix_of_a_stack_is_its_own_call(self, n, d, m):
+        rng = np.random.default_rng(n * 100 + d * 10 + m + 1)
+        for count in MUL_COUNTS:
+            # every matrix of the small stacks, a spread of the large ones
+            picks = range(count) if count <= 13 else np.linspace(0, count - 1, 13).astype(int)
+            for a, b in self.operands(rng, n, d, m, count):
+                got = linalg.mul(a, b)
+                for k in picks:
+                    assert got[k].tobytes() == linalg.mul(*self.own(a, b, k)).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, d, m", [s for s in MUL_SHAPES if min(s[0], s[2]) < 2 or s[0] * s[1] * s[2] > 64], ids=lambda v: str(v)
+    )
+    def test_fall_through_shapes_are_matmul(self, n, d, m):
+        rng = np.random.default_rng(n * 100 + d * 10 + m + 2)
+        for count in MUL_COUNTS:
+            for a, b in self.operands(rng, n, d, m, count):
+                assert linalg.mul(a, b).tobytes() == (a @ b).tobytes()
+
+
 class TestSolveSylvester:
     def test_identity_coefficients(self):
         q = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
