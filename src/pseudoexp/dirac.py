@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector, value_only
 
@@ -125,16 +125,7 @@ def build_dirac(
     node.require_valid()
 
     recipe = ExponentRecipe([a1, a2])
-    eye2 = np.eye(2, dtype=complex)
-    family = PseudoExpFamily(
-        VAR_NAMES,
-        PiBlock(c, recipe, chat, node.r_mat),
-        s0,
-        {
-            0: [SRule(1.0, (), SIGMA2, ())],
-            1: [SRule(-1.0, (), eye2, ())],
-        },
-    )
+    family = PseudoExpFamily(VAR_NAMES, PiBlock(c, recipe, chat, node.r_mat), s0)
     return DiracScenario(node=node, c=c, s0=s0, family=family)
 
 

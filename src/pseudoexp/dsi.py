@@ -14,7 +14,7 @@ chat = diag(chat1, chat2), R = diag(R1, -R2) and the generators diag(A1, A2),
 diag(-i A1^2, i A2^2), diag(A1, -A2) of (x, t, y), so Pi = [Phi_1 Phi_2].
 
 Pi = [Phi_1 Phi_2] satisfies Pi_x = Pi_y j and Pi_t = -i Pi_yy j with
-j = diag(I_{m1}, -I_{m2}), and the derivative rules
+j = diag(I_{m1}, -I_{m2}), and by the node identities
 
     S_y = -Pi Pi*,  S_x = -Pi j Pi*,  S_t = i (Pi_y j Pi* - Pi j Pi_y*)
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
@@ -128,18 +128,8 @@ def build_dsi(
 
     # Generators per (x, t, y) of the exponents (x+y) A1 - i t A1^2 and (x-y) A2 + i t A2^2
     recipe = ExponentRecipe([_diag(a1, a2), _diag(-1j * (a1 @ a1), 1j * (a2 @ a2)), _diag(a1, -a2)])
-    j = np.diag(np.concatenate([np.ones(chat1.shape[1]), -np.ones(chat2.shape[1])])).astype(complex)
-    eye = np.eye(len(j), dtype=complex)
-    family = PseudoExpFamily(
-        VAR_NAMES,
-        PiBlock(np.hstack([c1, c2]), recipe, _diag(chat1, chat2), _diag(r1, -r2)),
-        s0,
-        {
-            X: [SRule(-1.0, (), j, ())],
-            T: [SRule(1j, (Y,), j, ()), SRule(-1j, (), j, (Y,))],
-            Y: [SRule(-1.0, (), eye, ())],
-        },
-    )
+    block = PiBlock(np.hstack([c1, c2]), recipe, _diag(chat1, chat2), _diag(r1, -r2))
+    family = PseudoExpFamily(VAR_NAMES, block, s0)
     return DsiScenario(a1, a2, c1, c2, chat1, chat2, r1, r2, s0, family)
 
 

@@ -8,20 +8,20 @@ A solution family is one node, described by
 * S(vars) = S0 + C exp(M) R exp(M)* C*, one ``PiBlock`` carrying C, the
   recipe of M, chat and R. A direct sum of nodes is one node: two nodes of
   opposite sign give C = [C1 C2], G_v = diag(G1_v, G2_v),
-  chat = diag(chat1, chat2) and R = diag(R1, -R2),
-* per-variable derivative rules expressing dS as finite sums
-  c * (d^alpha Pi) nu (d^beta Pi)*, which hold because of the node
-  identities and are cross-checked against brute-force differentiation.
+  chat = diag(chat1, chat2) and R = diag(R1, -R2).
 
 Commuting generators make exp(M) = prod_v exp(vars[v] G_v) (Moler and Van
 Loan, SIAM Review 45(1), 2003) and commute with exp(M), so d^alpha Pi =
 C exp(M) G^alpha chat and each derivative of S is (C exp(M)) K (C exp(M))*
-for a constant K. A stack of points needs one exp(x G_v) per distinct value
-x of each coordinate, not one exponential per point. The recipe forms each
-generator's Taylor terms once, so exp(x G_v) is a polynomial in the scalar
-x followed by squarings (``ExponentRecipe.exp_value``). Every per-point
-product of small matrices goes through ``linalg.mul``, so a point of a
-stack comes out bitwise equal to a stack of that point alone.
+for a constant K (``PiBlock.term``). That holds for any R, so nothing here
+assumes the node identities, which turn dS into products of Pi such as
+S_x = Pi Pi*; ``snode`` checks them when a scenario is built. A stack of
+points needs one exp(x G_v) per distinct value x of each coordinate, not one
+exponential per point. The recipe forms each generator's Taylor terms once,
+so exp(x G_v) is a polynomial in the scalar x followed by squarings
+(``ExponentRecipe.exp_value``). Every per-point product of small matrices
+goes through ``linalg.mul``, so a point of a stack comes out bitwise equal
+to a stack of that point alone.
 
 Points come stacked: an (N, nvars) array, last index the variable.
 ``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
@@ -29,8 +29,8 @@ function W = Pi* S^-1, the quadratic form Q = Pi* S^-1 Pi and their
 derivatives all come from a view, stacked along a leading axis of length N,
 and share its C exp(M), its S and its solves. The view's (N,) mask
 ``ok`` is False where S is numerically singular; what is derived from S^-1
-is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
-``s_direct`` and the families' public field functions also take one point
+is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``
+and the families' public field functions also take one point
 (a flat sequence of nvars coordinates): they run on a stack of one and
 return that point's value, or None where S is singular (``pointwise``).
 Everything else takes stacks only.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from . import linalg
 __all__ = [
     "ExponentRecipe",
     "PiBlock",
-    "SRule",
     "PseudoExpFamily",
     "pointwise",
 ]
@@ -110,12 +109,18 @@ class ExponentRecipe:
         for g in gens:
             if g.shape != (dim, dim):
                 raise ValueError("recipe generators must be square of one dimension")
+        # The commutator of each pair scaled by exact powers of two to norms
+        # in [1/2, 1), so no finite pair overflows, against max(1, |G_i| |G_j|)
+        # scaled alike (capped below overflow: a residual is at most 2). A
+        # residual that is not finite fails.
+        units = [_unit(g) for g in gens]
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                gi, gj = gens[i], gens[j]
+                (gi, ei), (gj, ej) = units[i], units[j]
                 res = linalg.fro(gi @ gj - gj @ gi)
-                if res > COMMUTATOR_RTOL * max(1.0, linalg.fro(gi) * linalg.fro(gj)):
-                    raise ValueError(f"generators {i} and {j} do not commute (residual {res:.3e})")
+                scale = max(np.ldexp(1.0, min(-ei - ej, 1000)), linalg.fro(gi) * linalg.fro(gj))
+                if not res <= COMMUTATOR_RTOL * scale:
+                    raise ValueError(f"generators {i} and {j} do not commute (relative residual {res / scale:.3e})")
         self.generators = gens
         self.nvars = len(gens)
         self.dim = int(dim)
@@ -161,6 +166,13 @@ class ExponentRecipe:
             return self.generators[deriv[0]]
         v, w = deriv
         return self.generators[v] @ self.generators[w]
+
+
+def _unit(g: np.ndarray) -> tuple[np.ndarray, int]:
+    """g / 2^e, exactly, with 2^e the power of two such that its norm is in
+    [1/2, 1), and e."""
+    e = int(np.frexp(linalg.fro(g))[1])
+    return np.ldexp(np.ascontiguousarray(g).view(float), -e).view(complex), e
 
 
 def _taylor_terms(gens: np.ndarray) -> list:
@@ -245,16 +257,6 @@ class PiBlock:
         return linalg.mul(linalg.mul(ce, k), adj(ce))
 
 
-@dataclass(frozen=True)
-class SRule:
-    """One summand coeff * (d^left Pi) middle (d^right Pi)* of a dS/dv rule."""
-
-    coeff: complex
-    left: tuple[int, ...]
-    middle: np.ndarray
-    right: tuple[int, ...]
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + linalg.adjoint(m)) / 2.0
 
@@ -285,31 +287,20 @@ class _AtPoints:
         return self._pi[deriv]
 
     def s(self, deriv: Sequence[int] = ()) -> np.ndarray:
-        """d^deriv S via the identity-based rules, (N, n, n). An S that is not
+        """d^deriv S, (N, n, n), from the block's S summand. An S that is not
         finite raises ValueError naming its first such point."""
         deriv = _canonical(deriv)
-        if deriv in self._s:
-            return self._s[deriv]
-        fam, adj, mul = self.family, linalg.adjoint, linalg.mul
-        if not deriv:
+        if deriv not in self._s:
+            fam = self.family
             with np.errstate(over="ignore", invalid="ignore"):
-                out = _hermitize(fam.s0 + fam.block.term(self.ce))
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
-            if len(bad):
-                where = ", ".join(f"{v} = {float(x)}" for v, x in zip(fam.var_names, self.points[bad[0]]))
-                raise ValueError(f"S overflows at {where}")
-        else:
-            v, rest = deriv[0], deriv[1:]
-            out = np.zeros((len(self.points), fam.n, fam.n), dtype=complex)
-            for rule in fam.s_rules[v]:
-                # d/dw of a summand moves w onto its left factor, then its right.
-                sides = [(rule.left, rule.right)]
-                if rest:
-                    sides = [(rule.left + rest, rule.right), (rule.left, rule.right + rest)]
-                for left, right in sides:
-                    out = out + rule.coeff * mul(mul(self.pi(left), rule.middle), adj(self.pi(right)))
-        self._s[deriv] = out
-        return out
+                out = fam.block.term(self.ce, deriv) if deriv else _hermitize(fam.s0 + fam.block.term(self.ce))
+            if not deriv:
+                bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
+                if len(bad):
+                    where = ", ".join(f"{v} = {float(x)}" for v, x in zip(fam.var_names, self.points[bad[0]]))
+                    raise ValueError(f"S overflows at {where}")
+            self._s[deriv] = out
+        return self._s[deriv]
 
     def y(self, deriv: tuple[int, ...]) -> np.ndarray:
         """d^deriv Y for a sorted multi-index, by one solve against S."""
@@ -363,20 +354,16 @@ class _AtPoints:
 
 
 class PseudoExpFamily:
-    """Pi/S evaluator with analytic derivatives to second order.
+    """Pi/S evaluator with exact derivatives to second order, for any R: no
+    node identity is assumed, so a block that breaks one fails the analytic
+    checks of the fields.
 
     ``at(points)`` opens the view of one stack of points, the only way to
-    Pi, S, W, Q and their derivatives; ``s`` and ``s_direct`` also take one
-    point, for screens and the cross-check of the derivative rules.
+    Pi, S, W, Q and their derivatives; ``s`` also takes one point, for
+    screens and checks.
     """
 
-    def __init__(
-        self,
-        var_names: Sequence[str],
-        block: PiBlock,
-        s0: np.ndarray,
-        s_rules: Mapping[int, Sequence[SRule]],
-    ):
+    def __init__(self, var_names: Sequence[str], block: PiBlock, s0: np.ndarray):
         self.var_names = tuple(var_names)
         self.nvars = len(self.var_names)
         self.block = block
@@ -388,12 +375,8 @@ class PseudoExpFamily:
             raise ValueError("S0 must be square with the Pi row count")
         if linalg.fro(self.s0 - linalg.adjoint(self.s0)) > 1e-12 * (1.0 + linalg.fro(self.s0)):
             raise ValueError("S0 must be Hermitian")
-        self.s_rules = {v: list(rules) for v, rules in s_rules.items()}
         if block.recipe.nvars != self.nvars:
             raise ValueError(f"recipe has {block.recipe.nvars} generators for {self.nvars} variables")
-        for v in range(self.nvars):
-            if v not in self.s_rules:
-                raise ValueError(f"missing derivative rule for variable {self.var_names[v]}")
 
     def at(self, points: np.ndarray) -> _AtPoints:
         """The view of the family at an (N, nvars) stack of points."""
@@ -404,11 +387,6 @@ class PseudoExpFamily:
 
     @pointwise(masked=False)
     def s(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        """S or one of its derivatives via the identity-based rules, (N, n, n)."""
+        """S or one of its derivatives, (N, n, n), differentiated exactly
+        (``PiBlock.term``)."""
         return self.at(points).s(deriv)
-
-    @pointwise(masked=False)
-    def s_direct(self, points: np.ndarray, deriv: Sequence[int] = ()) -> np.ndarray:
-        """Same quantity by brute-force differentiation of the S summand."""
-        deriv = _canonical(deriv)
-        return self.block.term(self.block.ce(points), deriv) if deriv else self.s(points)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_matrix, parse_real_vector
 
@@ -162,16 +162,7 @@ def build_gnoe(
     node.require_valid()
 
     recipe = ExponentRecipe([a1, a2, a3])
-    family = PseudoExpFamily(
-        VAR_NAMES,
-        PiBlock(c, recipe, chat_big, r),
-        s0,
-        {
-            X: [SRule(-1.0, (), b_mat @ d_mat, ())],
-            T: [SRule(-1.0, (), b_mat @ dtilde_mat, ())],
-            Y: [SRule(-1.0, (), b_mat, ())],
-        },
-    )
+    family = PseudoExpFamily(VAR_NAMES, PiBlock(c, recipe, chat_big, r), s0)
     return GnoeScenario(a, chat, c, d_diag, dtilde_diag, b_diag, r, s0, node, family)
 
 

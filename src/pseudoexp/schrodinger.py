@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, SRule, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real, value_only
 
@@ -107,16 +107,7 @@ def build_schrodinger(
     node.require_valid()
 
     recipe = ExponentRecipe([a, -1j * (a @ a)])
-    eye = np.eye(width, dtype=complex)
-    family = PseudoExpFamily(
-        VAR_NAMES,
-        PiBlock(c, recipe, chat, node.r_mat),
-        s0,
-        {
-            0: [SRule(1.0, (), eye, ())],
-            1: [SRule(-1j, (0,), eye, ()), SRule(1j, (), eye, (0,))],
-        },
-    )
+    family = PseudoExpFamily(VAR_NAMES, PiBlock(c, recipe, chat, node.r_mat), s0)
     return SchrodingerScenario(node=node, c=c, s0=s0, family=family)
 
 

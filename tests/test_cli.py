@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +203,23 @@ class TestRun:
         path.write_text(json.dumps(config))
         assert cli.main(["run", str(path)]) == 2
         assert f"config error: S overflows at {where}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_huge_generators_exit_two_without_a_warning(self, tmp_path):
+        # mu0 = 1e150 puts G_t = -i A^2 near 1e300, so the unscaled product
+        # G_x G_t of the recipe's commutator check overflows. Run as a user
+        # would, under Python's default warning filters.
+        config = json.loads(Path(next(p for n, _, p in cli.catalog() if n == "schrodinger-rational")).read_text())
+        config["params"]["mu0"] = 1e150
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "pseudoexp.cli", "run", "config.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("config error: ") and "RuntimeWarning" not in run.stderr, run.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_grid_too_large_to_allocate_exits_two(self, tmp_path, monkeypatch, capsys):

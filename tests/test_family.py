@@ -1,15 +1,16 @@
 """Tests for the C exp(M) chat evaluation engine."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 
-from pseudoexp import dsi, linalg
+from pseudoexp import dirac, dsi, linalg, schrodinger
 from pseudoexp.family import (
     ExponentRecipe,
     PiBlock,
     PseudoExpFamily,
-    SRule,
 )
 
 I1 = np.eye(1, dtype=complex)
@@ -28,14 +29,7 @@ def schrodinger_recipe(a):
 
 def schrodinger_family(a, c, chat, s0, r):
     recipe = schrodinger_recipe(a)
-    block = PiBlock(c, recipe, chat, r)
-    width = np.asarray(chat).shape[1]
-    eye = np.eye(width, dtype=complex)
-    rules = {
-        0: [SRule(1.0, (), eye, ())],
-        1: [SRule(-1j, (0,), eye, ()), SRule(1j, (), eye, (0,))],
-    }
-    return PseudoExpFamily(("x", "t"), block, s0, rules)
+    return PseudoExpFamily(("x", "t"), PiBlock(c, recipe, chat, r), s0)
 
 
 @pytest.fixture
@@ -93,6 +87,16 @@ class TestExponentRecipe:
         b = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="commute"):
             ExponentRecipe([a, b])
+
+    def test_commutator_check_survives_huge_generators(self):
+        # The products of these generators overflow unscaled: a commuting
+        # pair still passes, a non-commuting one still fails, and neither
+        # warns.
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        ExponentRecipe([1e200 * jordan, -1e300j * (jordan @ jordan)])
+        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="commute"):
+            ExponentRecipe([1e200 * a, 1e300 * a.T])
 
     def test_rejects_misshaped_generators(self):
         with pytest.raises(ValueError, match="square"):
@@ -306,12 +310,26 @@ class TestSEvaluation:
 
     @pytest.mark.parametrize("deriv", [(0,), (1,), (0, 0), (0, 1), (1, 1)])
     def test_rules_match_brute_force(self, rational_family, singular_line_family, deriv):
+        # The node identity's rules S_x = Pi Pi*, S_t = -i (Pi_x Pi* - Pi Pi_x*)
+        # and their second orders by the product rule, over the view's Pi,
+        # against S differentiated exactly.
         rng = np.random.default_rng(404)
         for fam in (rational_family, singular_line_family):
             for _ in range(5):
                 pt = tuple(rng.uniform(-1.0, 1.0, size=2))
-                via_rules = fam.s(pt, deriv)
-                direct = fam.s_direct(pt, deriv)
+                pi = at(fam, pt).pi
+
+                def pp(left, right):
+                    return (pi(left) @ linalg.adjoint(pi(right)))[0]
+
+                via_rules = {
+                    (0,): pp((), ()),
+                    (1,): -1j * (pp((0,), ()) - pp((), (0,))),
+                    (0, 0): pp((0,), ()) + pp((), (0,)),
+                    (0, 1): pp((1,), ()) + pp((), (1,)),
+                    (1, 1): -1j * (pp((0, 1), ()) + pp((0,), (1,)) - pp((1,), (0,)) - pp((), (0, 1))),
+                }[deriv]
+                direct = fam.s(pt, deriv)
                 scale = 1.0 + linalg.fro(direct)
                 assert linalg.fro(via_rules - direct) <= 1e-12 * scale
 
@@ -325,42 +343,22 @@ class TestSEvaluation:
         an = singular_line_family.s(pt, (0,))
         assert linalg.fro(an - fd) <= 1e-7 * (1.0 + linalg.fro(an))
 
-    def test_missing_rule_rejected(self, rational_family):
-        with pytest.raises(ValueError, match="rule"):
-            PseudoExpFamily(
-                ("x", "t"),
-                rational_family.block,
-                rational_family.s0,
-                {0: rational_family.s_rules[0]},
-            )
-
     def test_generator_count_must_match_variables(self, rational_family):
         one = np.eye(1, dtype=complex)
         rec = ExponentRecipe([one])
-        rules = {0: [SRule(1.0, (), one, ())], 1: [SRule(1.0, (), one, ())]}
         with pytest.raises(ValueError, match="1 generators for 2 variables"):
-            PseudoExpFamily(("x", "t"), PiBlock(one, rec, one, one), one, rules)
+            PseudoExpFamily(("x", "t"), PiBlock(one, rec, one, one), one)
         with pytest.raises(ValueError, match="2 generators for 1 variables"):
-            PseudoExpFamily(("x",), PiBlock(one, ExponentRecipe([one, one]), one, one), one, {0: rules[0]})
+            PseudoExpFamily(("x",), PiBlock(one, ExponentRecipe([one, one]), one, one), one)
 
     def test_block_without_r_rejected(self, rational_family):
         blk = rational_family.block
         with pytest.raises(ValueError, match="needs its R"):
-            PseudoExpFamily(
-                ("x", "t"),
-                PiBlock(blk.c, blk.recipe, blk.chat),
-                rational_family.s0,
-                rational_family.s_rules,
-            )
+            PseudoExpFamily(("x", "t"), PiBlock(blk.c, blk.recipe, blk.chat), rational_family.s0)
 
     def test_non_hermitian_s0_rejected(self, rational_family):
         with pytest.raises(ValueError, match="Hermitian"):
-            PseudoExpFamily(
-                ("x", "t"),
-                rational_family.block,
-                np.array([[1j]]),
-                rational_family.s_rules,
-            )
+            PseudoExpFamily(("x", "t"), rational_family.block, np.array([[1j]]))
 
 
 class TestQuantities:
@@ -467,7 +465,6 @@ class TestMultiBlock:
             ("x",),
             PiBlock(c, ExponentRecipe([gen]), eye2, eye2),
             np.eye(1, dtype=complex),
-            {0: [SRule(1.0, (), eye2, ())]},
         )
         pt = (0.8,)
         pi = at(fam, pt).pi()[0]
@@ -475,3 +472,25 @@ class TestMultiBlock:
         assert pi[0, 0] == pytest.approx(np.exp(0.4))
         assert pi[0, 1] == pytest.approx(np.exp(-0.2))
         assert fam.width == 2
+
+
+class TestAnalyticChannelsSeeTheIdentity:
+    """The analytic channels differentiate S exactly and assume no node
+    identity, so a block whose chat or R breaks its identity, slipped past
+    the build's check, fails them."""
+
+    @pytest.mark.parametrize(
+        "module, field",
+        [(schrodinger, "chat"), (schrodinger, "r"), (dirac, "chat"), (dirac, "r"), (dsi, "chat"), (dsi, "r")],
+        ids=lambda v: getattr(v, "__name__", v).rsplit(".", 1)[-1],
+    )
+    def test_analytic_channels_fail_off_the_identity(self, module, field):
+        sc = module.random_scenario(np.random.default_rng(1))
+        fam = sc.family
+        block = dataclasses.replace(fam.block, **{field: getattr(fam.block, field) * (1 + 1e-6)})
+        broken = dataclasses.replace(sc, family=PseudoExpFamily(fam.var_names, block, fam.s0))
+        channels = module.verify_scenario(broken).channels
+        analytic = [c for c in channels if c.name.endswith("_analytic")]
+        assert analytic
+        for c in analytic:
+            assert not c.passed and c.max_relative > 1e2 * c.tolerance, (c.name, c.max_relative)
