@@ -211,13 +211,9 @@ def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> tuple
     every grid point, and each named field's matrix shape; the fields are
     evaluated once, for all points in one call, so the shapes are known
     also where every point is singular."""
-    values, ok = spec.field_values(scenario, grid.stacked())
-    index = [spec.fields.index(name) for name in names]
-    rows = [
-        (point, [values[i][k] for i in index] if ok[k] else None)
-        for k, point in enumerate(grid.points())
-    ]
-    return rows, [values[i].shape[1:] for i in index]
+    values, ok = spec.field_values(scenario, grid.stacked(), names)
+    rows = [(point, [v[k] for v in values] if ok[k] else None) for k, point in enumerate(grid.points())]
+    return rows, [v.shape[1:] for v in values]
 
 
 def _encode_matrix(m: np.ndarray) -> list:

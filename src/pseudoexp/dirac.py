@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_int, parse_matrix, parse_vector, value_only
 
@@ -184,21 +184,6 @@ def _sources(sc: DiracScenario, points: np.ndarray):
     return {"potential": value_only(potential), "wave": functools.cache(view.w)}, view.ok
 
 
-@pointwise(masked=True)
-def potential(sc: DiracScenario, points: np.ndarray):
-    """V = i(Q sigma2 - sigma2 Q), Hermitian, at stacked points, with the
-    mask of points where S is not singular."""
-    fields, ok = _sources(sc, points)
-    return fields["potential"](()), ok
-
-
-@pointwise(masked=True)
-def wave(sc: DiracScenario, points: np.ndarray):
-    """Psi = Pi* S^-1 at stacked points, with the mask."""
-    fields, ok = _sources(sc, points)
-    return fields["wave"](()), ok
-
-
 def _equations(sc: DiracScenario, d):
     return {"wave": d("wave", T) + SIGMA2 @ d("wave", Y) - 1j * d("potential") @ d("wave")}
 
@@ -248,6 +233,8 @@ SPEC = FamilySpec(
         "random": RANDOM,
     },
 )
+potential = SPEC.field_function("potential")
+wave = SPEC.field_function("wave")
 default_grid = SPEC.grid_function()
 evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

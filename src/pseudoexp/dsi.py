@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix
 
@@ -192,13 +192,6 @@ def _sources(sc: DsiScenario, points: np.ndarray):
     }, view.ok
 
 
-@pointwise(masked=True)
-def fields_uq(sc: DsiScenario, points: np.ndarray):
-    """(u, q1, q2) at stacked points, with the mask of points where S is
-    not singular."""
-    return SPEC.field_values(sc, points)
-
-
 def _premises(sc: DsiScenario, pi):
     j = sc.j_mat
     return (
@@ -294,6 +287,7 @@ SPEC = FamilySpec(
         "random": RANDOM,
     },
 )
+fields_uq = SPEC.field_function("u", "q1", "q2")
 default_grid = SPEC.grid_function()
 evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -29,11 +29,12 @@ function W = Pi* S^-1, the quadratic form Q = Pi* S^-1 Pi and their
 derivatives all come from a view, stacked along a leading axis of length N,
 and share its C exp(M), its S and its solves. The view's (N,) mask
 ``ok`` is False where S is numerically singular; what is derived from S^-1
-is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``
-and the families' public field functions also take one point
-(a flat sequence of nvars coordinates): they run on a stack of one and
-return that point's value, or None where S is singular (``pointwise``).
-Everything else takes stacks only.
+is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
+``loewner.spectrum_deviation`` and the families' public field functions,
+all made by ``FamilySpec.field_function``, also take one point (a flat
+sequence of nvars coordinates): they run on a stack of one and return that
+point's value, or None where S is singular (``pointwise``). Everything else
+takes stacks only.
 """
 
 from __future__ import annotations
@@ -109,18 +110,12 @@ class ExponentRecipe:
         for g in gens:
             if g.shape != (dim, dim):
                 raise ValueError("recipe generators must be square of one dimension")
-        # The commutator of each pair scaled by exact powers of two to norms
-        # in [1/2, 1), so no finite pair overflows, against max(1, |G_i| |G_j|)
-        # scaled alike (capped below overflow: a residual is at most 2). A
-        # residual that is not finite fails.
-        units = [_unit(g) for g in gens]
+        # A residual that is not finite fails.
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                (gi, ei), (gj, ej) = units[i], units[j]
-                res = linalg.fro(gi @ gj - gj @ gi)
-                scale = max(np.ldexp(1.0, min(-ei - ej, 1000)), linalg.fro(gi) * linalg.fro(gj))
-                if not res <= COMMUTATOR_RTOL * scale:
-                    raise ValueError(f"generators {i} and {j} do not commute (relative residual {res / scale:.3e})")
+                res = linalg.commutator_residual(gens[i], gens[j])
+                if not res <= COMMUTATOR_RTOL:
+                    raise ValueError(f"generators {i} and {j} do not commute (relative residual {res:.3e})")
         self.generators = gens
         self.nvars = len(gens)
         self.dim = int(dim)
@@ -166,13 +161,6 @@ class ExponentRecipe:
             return self.generators[deriv[0]]
         v, w = deriv
         return self.generators[v] @ self.generators[w]
-
-
-def _unit(g: np.ndarray) -> tuple[np.ndarray, int]:
-    """g / 2^e, exactly, with 2^e the power of two such that its norm is in
-    [1/2, 1), and e."""
-    e = int(np.frexp(linalg.fro(g))[1])
-    return np.ldexp(np.ascontiguousarray(g).view(float), -e).view(complex), e
 
 
 def _taylor_terms(gens: np.ndarray) -> list:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_matrix, parse_real_vector
 
@@ -173,14 +173,6 @@ def _sources(sc: GnoeScenario, points: np.ndarray):
     return {"xi": functools.cache(lambda deriv: view.q(deriv) @ sc.b_mat), "Pi": view.pi}, view.ok
 
 
-@pointwise(masked=True)
-def xi(sc: GnoeScenario, points: np.ndarray):
-    """xi = Q B at stacked points, with the mask of points where S is not
-    singular."""
-    fields, ok = _sources(sc, points)
-    return fields["xi"](()), ok
-
-
 def _equations(sc: GnoeScenario, d):
     dm, dt, f = sc.d_mat, sc.dtilde_mat, d("xi")
     f_t, f_x, f_y = d("xi", T), d("xi", X), d("xi", Y)
@@ -264,6 +256,7 @@ SPEC = FamilySpec(
         "random": RANDOM,
     },
 )
+xi = SPEC.field_function("xi")
 default_grid = SPEC.grid_function()
 evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -21,6 +21,7 @@ __all__ = [
     "adjoint",
     "fro",
     "mul",
+    "commutator_residual",
     "mat_exp",
     "solve_sylvester",
     "solve_pivoted",
@@ -85,6 +86,24 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, d):
         out = out + a[..., :, j : j + 1] * b[..., j : j + 1, :]
     return out
+
+
+def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """||a b - b a||_F relative to max(1, ||a||_F ||b||_F), for square a and
+    b of one dimension, without overflow where both norms are finite: a and
+    b are scaled by exact powers of two to norms in [1/2, 1) first, and the
+    bound alike (capped below overflow, so a tiny pair reads at most
+    2^-999)."""
+    (a, ea), (b, eb) = _unit(a), _unit(b)
+    res = fro(a @ b - b @ a)
+    return res / max(np.ldexp(1.0, min(-ea - eb, 1000)), fro(a) * fro(b))
+
+
+def _unit(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m / 2^e, exactly, with 2^e the power of two such that its norm is in
+    [1/2, 1), and e."""
+    e = int(np.frexp(fro(m))[1])
+    return np.ldexp(np.ascontiguousarray(m).view(float), -e).view(complex), e
 
 
 def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:

@@ -146,13 +146,6 @@ def _sources(sc: LoewnerScenario, points: np.ndarray):
 
 
 @pointwise(masked=True)
-def eval_loewner(sc: LoewnerScenario, points: np.ndarray):
-    """(Psi, L) at stacked points, with the mask of points where Lambda_1
-    is not singular."""
-    return SPEC.field_values(sc, points)
-
-
-@pointwise(masked=True)
 def spectrum_deviation(sc: LoewnerScenario, points: np.ndarray):
     """Max distance between the spectrum of L and the diagonal of D, at
     stacked points, with the mask."""
@@ -231,6 +224,7 @@ SPEC = FamilySpec(
         "random": RANDOM,
     },
 )
+eval_loewner = SPEC.field_function("solution", "coefficient")
 default_grid = SPEC.grid_function()
 evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError, NoSolutionError
-from .family import ExponentRecipe, PiBlock, PseudoExpFamily, pointwise
+from .family import ExponentRecipe, PiBlock, PseudoExpFamily
 from .snode import SMultinode, solve_for_R
 from .spec import RANDOM, Builder, FamilySpec, parse_complex, parse_matrix, parse_real, value_only
 
@@ -117,21 +117,6 @@ def _sources(sc: SchrodingerScenario, points: np.ndarray):
     view = sc.family.at(points)
     q = functools.cache(view.q)
     return {"potential": value_only(lambda: -2.0 * q((X,))), "wave": functools.cache(view.w), "Q": q}, view.ok
-
-
-@pointwise(masked=True)
-def potential(sc: SchrodingerScenario, points: np.ndarray):
-    """q = -2 dQ/dx, Hermitian, at stacked points, with the mask of points
-    where S is not singular."""
-    fields, ok = _sources(sc, points)
-    return fields["potential"](()), ok
-
-
-@pointwise(masked=True)
-def wave(sc: SchrodingerScenario, points: np.ndarray):
-    """W = Pi* S^-1 at stacked points, with the mask."""
-    fields, ok = _sources(sc, points)
-    return fields["wave"](()), ok
 
 
 def _equations(sc: SchrodingerScenario, d):
@@ -400,6 +385,8 @@ SPEC = FamilySpec(
         "random": RANDOM,
     },
 )
+potential = SPEC.field_function("potential")
+wave = SPEC.field_function("wave")
 default_grid = SPEC.grid_function()
 evaluator = SPEC.evaluator
 verify_scenario = SPEC.verify_function()

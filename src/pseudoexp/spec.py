@@ -8,21 +8,24 @@ each equation once over a derivative source ``d(F, v, ..., v)``, and its
 ``checks`` give the channels only analytic derivatives can check. One
 ``FamilySpec.evaluator`` reads the equations from the analytic sources and
 from the stencils of one ``verify.fd_partial`` call. Each family module
-derives its ``default_grid``, ``evaluator`` and ``verify_scenario`` from
-its declaration, and the CLI reads the same declaration for its config
-schema, field dump and default tolerances.
+derives its public field functions (``FamilySpec.field_function``), its
+``default_grid``, ``evaluator`` and ``verify_scenario`` from its
+declaration, and the CLI reads the same declaration for its config schema,
+field dump and default tolerances. ``FamilySpec.field_values`` is the one
+evaluation of output fields, for the field functions and the dump alike.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import linalg, verify
 from .errors import ConfigError
+from .family import pointwise
 
 __all__ = [
     "Builder",
@@ -171,11 +174,24 @@ class FamilySpec:
     fields: tuple[str, ...]
     builders: Mapping[str, Builder]
 
-    def field_values(self, sc, points: np.ndarray):
-        """The output fields at stacked points, in the order of ``fields``,
-        with the mask of non-singular points."""
+    def field_values(self, sc, points: np.ndarray, names: Optional[Sequence[str]] = None):
+        """The named output fields (default: all of ``fields``, in order) at
+        stacked points, with the mask of non-singular points."""
         sources, ok = self.sources(sc, points)
-        return tuple(sources[name](()) for name in self.fields), ok
+        return tuple(sources[name](()) for name in names or self.fields), ok
+
+    def field_function(self, *names: str) -> Callable:
+        """The public function of the named output fields: given an (N,
+        nvars) stack of points, their values (one array for one name, a
+        tuple for several) and the mask of points where S is not singular;
+        given one point, its values, or None where S is singular."""
+
+        @pointwise(masked=True)
+        def field_function(sc, points: np.ndarray):
+            values, ok = self.field_values(sc, points, names)
+            return (values if len(names) > 1 else values[0]), ok
+
+        return field_function
 
     def evaluator(self, sc, h: float = verify.DEFAULT_H, accuracy: int = verify.DEFAULT_ACCURACY):
         """The sweep's residual function of stacked points (see
@@ -241,10 +257,15 @@ class FamilySpec:
         ) -> verify.ResidualReport:
             """Sweep every residual channel, analytic and FD, over ``grid``
             (default: the declared grid) against ``tolerances`` (default:
-            the declared ones). A given map must name exactly the declared
-            channels; ``verify.sweep`` raises ValueError otherwise."""
+            the declared ones). A given grid's axes must be the family's
+            variables in order, and a given map must name exactly the
+            declared channels; ValueError otherwise."""
+            grid = grid or default_grid()
+            names = [axis.name for axis in grid.axes]
+            if names != list(spec.var_names):
+                raise ValueError(f"grid axes must be {list(spec.var_names)} in order, got {names}")
             tol = spec.tolerances if tolerances is None else tolerances
             evaluate = spec.evaluator(sc, h=h, accuracy=accuracy)
-            return verify.sweep(grid or default_grid(), evaluate, tol, meta={"family": spec.name})
+            return verify.sweep(grid, evaluate, tol, meta={"family": spec.name})
 
         return verify_scenario

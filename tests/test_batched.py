@@ -138,6 +138,21 @@ def test_every_solve_of_a_view_gives_its_mask(monkeypatch):
     assert masks == []
 
 
+# Each family's public field functions, all from ``SPEC.field_function``,
+# with the output fields each returns.
+FIELD_FUNCTIONS = {
+    "dirac": {"potential": ("potential",), "wave": ("wave",)},
+    "dsi": {"fields_uq": ("u", "q1", "q2")},
+    "gnoe": {"xi": ("xi",)},
+    "loewner": {"eval_loewner": ("solution", "coefficient")},
+    "schrodinger": {"potential": ("potential",), "wave": ("wave",)},
+}
+
+
+def _as_tuple(value, names):
+    return value if len(names) > 1 else (value,)
+
+
 @pytest.mark.parametrize("label, sc, module", _scenarios(), ids=lambda v: v if isinstance(v, str) else "")
 def test_stack_of_points_matches_each_point(label, sc, module):
     points = module.default_grid(count=3).stacked()
@@ -155,6 +170,40 @@ def test_stack_of_points_matches_each_point(label, sc, module):
         assert one_fields[1][0] == fields_ok[k]
         for stacked, single in zip(values, one_fields[0]):
             np.testing.assert_allclose(single[0], stacked[k], rtol=1e-13, atol=1e-300)
+    # The public field functions: their stacks are those of field_values,
+    # and one point gives its row of the stack, or None where it is masked.
+    for function, names in FIELD_FUNCTIONS[module.SPEC.name].items():
+        fn = getattr(module, function)
+        stacked, fn_ok = fn(sc, points)
+        assert np.array_equal(fn_ok, fields_ok)
+        for name, got in zip(names, _as_tuple(stacked, names)):
+            assert np.array_equal(got, values[module.SPEC.fields.index(name)]), (function, name)
+        for k, point in enumerate(points):
+            one = fn(sc, point)
+            if not fields_ok[k]:
+                assert one is None
+                continue
+            for single, got in zip(_as_tuple(one, names), _as_tuple(stacked, names)):
+                np.testing.assert_allclose(single, got[k], rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize(
+    "module, sc, singular, regular",
+    [
+        # The line x + 2 t = -3/4 of the singular-line example.
+        (schrodinger, schrodinger.build_singular_line_example()[0], (-0.75, 0.0), (0.5, 0.1)),
+        # The two-channel config's anti-diagonal t + y = 0.
+        (dirac, dirac.build_two_channel(np.array([[1.0, 1.0]]), 1, [1, 2]), (0.5, -0.5), (0.5, 0.5)),
+    ],
+    ids=["schrodinger", "dirac"],
+)
+def test_field_functions_give_none_on_a_singular_set(module, sc, singular, regular):
+    for function in FIELD_FUNCTIONS[module.SPEC.name]:
+        fn = getattr(module, function)
+        assert fn(sc, singular) is None, function
+        assert fn(sc, regular) is not None, function
+        _, ok = fn(sc, np.array([singular, regular]))
+        assert ok.tolist() == [False, True]
 
 
 def test_singular_points_masked_in_a_stack():

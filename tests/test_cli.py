@@ -1,5 +1,6 @@
 """CLI behavior: schema validation, exit codes, artifact formats, determinism."""
 
+import csv
 import itertools
 import json
 import os
@@ -457,6 +458,26 @@ class TestOutputPath:
 
 
 class TestDump:
+    @pytest.mark.parametrize("fields", [["wave"], ["potential"], ["wave", "potential"]])
+    def test_a_subset_of_fields_dumps_exactly_its_columns(self, tmp_path, monkeypatch, fields):
+        # The two-channel config crosses its singular line t + y = 0, so the
+        # rows include singular ones.
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(Path(next(p for n, _, p in cli.catalog() if n == "dirac-two-channel")).read_text())
+        tables = {}
+        for name, chosen in (("full", config["output"]["fields"]), ("part", fields)):
+            config["output"] = {"fields": chosen, "format": "csv", "path": f"{name}.csv"}
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert cli.main(["run", f"{name}.json"]) == 0
+            with open(f"{name}.csv", newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        full, part = tables["full"], tables["part"]
+        columns = [c for f in fields for c in full[0] if c.startswith(f + "[")]
+        assert part[0] == ["t", "y", *columns, "singular"]
+        keep = [full[0].index(c) for c in part[0]]
+        assert [[row[i] for i in keep] for row in full] == part
+        assert any(row[-1] == "1" for row in part[1:])
+
     def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
         # The CLI reaches the builder and verify_scenario through module
         # attributes at call time, and evaluates the fields of every grid

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudoexp import linalg, snode
+from pseudoexp import dirac, linalg, snode
 from pseudoexp.errors import ConstructionError, NoSolutionError
 
 SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
@@ -96,6 +96,42 @@ def test_validation_catches_non_commuting():
     report = node.validate()
     assert not report.passed
     assert any("commute" in m for m in report.messages)
+
+
+def test_commutator_check_survives_huge_matrices():
+    # The products of these A_k overflow unscaled: the commuting pair of the
+    # two-channel build passes with a finite residual and no warning, and a
+    # non-commuting pair fails.
+    report = dirac.build_two_channel(np.array([[1.0, 1.0]]), 1, [1e160, 2e160]).node.validate()
+    assert report.passed
+    assert np.isfinite(report.commutator_residuals).all()
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    node = snode.SMultinode(
+        a_mats=[1e200 * a, 1e200 * a.T],
+        nu_mats=[np.zeros((1, 1)), np.zeros((1, 1))],
+        r_mat=np.zeros((2, 2)),
+        chat=np.zeros((2, 1)),
+        signs=[1.0, 1.0],
+    )
+    report = node.validate()
+    assert not report.passed
+    assert report.commutator_residuals[0] == pytest.approx(np.sqrt(2.0))
+    assert any("commute" in m for m in report.messages)
+
+
+def test_identity_residual_that_is_not_finite_fails():
+    # A R + R A* and chat nu chat* both overflow, so their difference is nan.
+    node = snode.SMultinode(
+        a_mats=[np.array([[1e200]])],
+        nu_mats=[np.array([[1.0]])],
+        r_mat=np.array([[1e200]]),
+        chat=np.array([[1e200]]),
+        signs=[1.0],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = node.validate()
+    assert np.isnan(report.identity_residuals[0])
+    assert not report.passed
 
 
 def test_non_hermitian_nu_rejected():

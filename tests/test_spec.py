@@ -70,6 +70,18 @@ def test_tolerance_map_must_name_exactly_the_declared_channels(module):
         module.verify_scenario(sc, grid=grid, tolerances={})
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)
+def test_grid_axes_must_be_the_variables_in_order(module):
+    # A sweep reads a grid's columns as the variables in order, so axes
+    # named otherwise would label the report wrongly.
+    sc = module.random_scenario(np.random.default_rng(3))
+    names = module.SPEC.var_names
+    for wrong in (names[::-1], tuple("abc"[: len(names)])):
+        grid = verify.Grid(tuple(verify.Axis(n, -0.5, 0.5, 2) for n in wrong))
+        with pytest.raises(ValueError, match="in order"):
+            module.verify_scenario(sc, grid=grid)
+
+
 def test_dsi_map_without_the_evolution_channel_raises():
     # One FD channel named, with a bound no residual meets, and evolution_fd
     # left out: the sweep must not drop the FD path and pass.
