@@ -19,9 +19,12 @@ S_x = Pi Pi*; ``snode`` checks them when a scenario is built. A stack of
 points needs one exp(x G_v) per distinct value x of each coordinate, not one
 exponential per point. The recipe forms each generator's Taylor terms once,
 so exp(x G_v) is a polynomial in the scalar x followed by squarings
-(``ExponentRecipe.exp_value``). Every per-point product of small matrices
-goes through ``linalg.mul``, so a point of a stack comes out bitwise equal
-to a stack of that point alone.
+(``ExponentRecipe.exp_value``), and C goes into the first variable's
+factors, once per distinct value, so the product over the variables runs on
+(N, n, dim) stacks of C exp(M). Products of two stacks go through
+``linalg.mul``, and C exp(M) times a constant through ``linalg.rows``, one
+BLAS product over all the stack's rows; either way a point of a stack comes
+out bitwise equal to a stack of that point alone.
 
 Points come stacked: an (N, nvars) array, last index the variable.
 ``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
@@ -121,18 +124,21 @@ class ExponentRecipe:
         self.dim = int(dim)
         self._taylor = _taylor_terms(np.array(gens))
 
-    def exp_value(self, points: np.ndarray) -> np.ndarray:
+    def exp_value(self, points: np.ndarray, left: Optional[np.ndarray] = None) -> np.ndarray:
         """exp(M) at stacked points as the product of exp(x G_v) over the
-        variables, each evaluated once per distinct value x of its coordinate.
+        variables, each evaluated once per distinct value x of its coordinate;
+        given a constant (n, dim) ``left``, left exp(M), with ``left`` taken
+        into the first variable's factors before they are spread over the
+        points, so the product over the variables runs on (N, n, dim).
 
         exp(x G) is ``linalg.mat_exp``'s rule without its matrix products: x G
         takes s squarings with ||x G / 2^s||_1 <= 1/2, so exp(x G / 2^s) is
         the Taylor polynomial in y = x 2^e / 2^s of G / 2^e, whose terms the
         recipe holds, evaluated by Horner with real scalars only; a nilpotent
-        G takes its exact finite sum and no squaring. The squarings and the
-        product over the variables use ``linalg.mul``, so each point comes
-        out bitwise equal to its own call. An overflow is left for the caller
-        to report, without a warning."""
+        G takes its exact finite sum and no squaring. The squarings, the
+        product by ``left`` and the product over the variables use
+        ``linalg.mul``, so each point comes out bitwise equal to its own call.
+        An overflow is left for the caller to report, without a warning."""
         out = None
         with np.errstate(over="ignore", invalid="ignore"):
             for v, (norm, e, terms, nilpotent) in enumerate(self._taylor):
@@ -152,7 +158,10 @@ class ExponentRecipe:
                 for j in range(squarings.max(initial=0)):
                     sq = np.flatnonzero(squarings > j)
                     factors[sq] = linalg.mul(factors[sq], factors[sq])
-                out = factors[inverse] if out is None else linalg.mul(out, factors[inverse])
+                if out is None:
+                    out = (factors if left is None else linalg.mul(left, factors))[inverse]
+                else:
+                    out = linalg.mul(out, factors[inverse])
         return out
 
     def factor(self, deriv: tuple[int, ...]) -> np.ndarray:
@@ -220,7 +229,7 @@ class PiBlock:
 
     def ce(self, points: np.ndarray) -> np.ndarray:
         """C exp(M) at stacked points."""
-        return linalg.mul(self.c, self.recipe.exp_value(points))
+        return self.recipe.exp_value(points, self.c)
 
     def value(self, points: np.ndarray) -> Callable[[Sequence[int]], np.ndarray]:
         """The function of a multi-index giving that derivative of the block
@@ -230,7 +239,7 @@ class PiBlock:
 
     def at(self, ce: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
         """d^deriv of the block, given C exp(M) at stacked points."""
-        return linalg.mul(ce, self.recipe.factor(deriv) @ self.chat if deriv else self.chat)
+        return linalg.rows(ce, self.recipe.factor(deriv) @ self.chat if deriv else self.chat)
 
     def term(self, ce: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
         """d^deriv of the block's S summand, given C exp(M) at stacked
@@ -242,7 +251,7 @@ class PiBlock:
         elif deriv:
             gv, gw = (self.recipe.generators[i] for i in deriv)
             k = gv @ gw @ k + gv @ k @ adj(gw) + gw @ k @ adj(gv) + k @ adj(gv @ gw)
-        return linalg.mul(linalg.mul(ce, k), adj(ce))
+        return linalg.mul(linalg.rows(ce, k), adj(ce))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:

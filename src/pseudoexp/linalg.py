@@ -2,11 +2,14 @@
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
 complex128, or stacks of them along a leading axis (``adjoint``, ``fro``,
-``mul`` and ``mat_exp`` act on the last two axes; ``solve_pivoted`` takes
-stacks only). Desk scale only: matrix dimensions are small (a few dozen at
-most), so the solvers favour transparency over asymptotics. ``mul`` is the
-product of the engine's stacks of 2x2 to 4x4 matrices, where numpy's
-stacked matmul pays one BLAS call per matrix; ``mat_exp`` is the general
+``mul``, ``rows`` and ``mat_exp`` act on the last two axes;
+``solve_pivoted`` takes stacks only). Desk scale only: matrix dimensions
+are small (a few dozen at most), so the solvers favour transparency over
+asymptotics. ``mul`` is the product of the engine's stacks of 2x2 to 4x4
+matrices, where numpy's stacked matmul pays one BLAS call per matrix;
+``rows`` is a stack times one constant matrix, one BLAS product over all
+the stack's rows. From either, each matrix of a stack comes out bitwise
+equal to a stack of that matrix alone. ``mat_exp`` is the general
 exponential, which the tests use as a reference.
 """
 
@@ -21,6 +24,7 @@ __all__ = [
     "adjoint",
     "fro",
     "mul",
+    "rows",
     "commutator_residual",
     "mat_exp",
     "solve_sylvester",
@@ -86,6 +90,24 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, d):
         out = out + a[..., :, j : j + 1] * b[..., j : j + 1, :]
     return out
+
+
+def rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a stack a of (n, d) matrices and one (d, m) matrix b.
+
+    The stack's rows go through one BLAS product, (a.reshape(-1, d) @ b),
+    where ``mul`` would make d broadcast passes: the engine's products of
+    C exp(M) by a constant. Each output row is computed in the same order
+    whatever the rows around it, so each matrix of a stack comes out bitwise
+    equal to a stack of that one matrix, also with the product split across
+    BLAS threads. One-row matrices (n = 1) fall through to ``mul``: numpy
+    turns a product with a single row into a matrix-vector call, whose last
+    bit can differ from that row of the stacked product.
+    """
+    n, d = a.shape[-2:]
+    if n < 2:
+        return mul(a, b)
+    return (a.reshape(-1, d) @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:

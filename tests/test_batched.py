@@ -84,7 +84,9 @@ def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     monkeypatch.setattr(family.PseudoExpFamily, "at", lambda fam, p: views.append(p) or at(fam, p))
     exps = []
     exp_value = family.ExponentRecipe.exp_value
-    monkeypatch.setattr(family.ExponentRecipe, "exp_value", lambda rec, p: exps.append(p) or exp_value(rec, p))
+    monkeypatch.setattr(
+        family.ExponentRecipe, "exp_value", lambda rec, p, *a, **kw: exps.append(p) or exp_value(rec, p, *a, **kw)
+    )
     counts = []
     for count in (3, 5):
         calls.clear()
@@ -185,6 +187,42 @@ def test_stack_of_points_matches_each_point(label, sc, module):
                 continue
             for single, got in zip(_as_tuple(one, names), _as_tuple(stacked, names)):
                 np.testing.assert_allclose(single, got[k], rtol=1e-13, atol=1e-300)
+
+
+def _view_scenarios():
+    """(label, scenario, module): a draw of each node family, Pi of one row
+    among them, and the singular line's masked points."""
+    rng = np.random.default_rng(13)
+    return [
+        ("schrodinger-random", schrodinger.random_scenario(rng), schrodinger),
+        ("schrodinger-singular-line", schrodinger.build_singular_line_example()[0], schrodinger),
+        ("dirac-random", dirac.random_scenario(rng), dirac),
+        ("dsi-random", dsi.random_scenario(rng), dsi),
+        ("dsi-one-row", dsi.random_scenario(rng, max_dim=1), dsi),
+        ("gnoe-random", gnoe.random_scenario(rng), gnoe),
+    ]
+
+
+@pytest.mark.parametrize("label, sc, module", _view_scenarios(), ids=lambda v: v if isinstance(v, str) else "")
+def test_view_at_a_stack_is_bitwise_each_point_alone(label, sc, module):
+    nvars = len(module.VAR_NAMES)
+    n, dim = sc.family.block.c.shape
+    small = module.default_grid(count=3).stacked()
+    stacks = [(small, range(len(small)))]
+    if n > 1:
+        # A spread of a grid on which C exp(M) times a constant, N n rows by
+        # dim by dim, passes 2^19 multiply-adds, twice the size past which
+        # OpenBLAS may split a product across threads.
+        large = module.default_grid(count=int(np.ceil((2**19 / (n * dim * dim)) ** (1 / nvars)))).stacked()
+        stacks.append((large, np.linspace(0, len(large) - 1, 7).astype(int)))
+    for points, picks in stacks:
+        view = sc.family.at(points)
+        for k in picks:
+            one = sc.family.at(points[k : k + 1])
+            for deriv in [(), (0,), (1,), (0, 0)]:
+                for name in ("pi", "s", "q", "w"):
+                    got, want = getattr(view, name)(deriv)[k], getattr(one, name)(deriv)[0]
+                    assert got.tobytes() == want.tobytes(), (name, deriv, k)
 
 
 @pytest.mark.parametrize(

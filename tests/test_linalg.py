@@ -172,6 +172,33 @@ class TestMul:
                 assert linalg.mul(a, b).tobytes() == (a @ b).tobytes()
 
 
+# The stack sizes of TestMul, and one past the size at which OpenBLAS may
+# split a product across threads (65536 * 4 multiply-adds).
+ROWS_COUNTS = MUL_COUNTS + (20000,)
+
+
+class TestRows:
+    @pytest.mark.parametrize("n, d, m", MUL_SHAPES, ids=lambda v: str(v))
+    def test_agrees_with_matmul(self, n, d, m):
+        rng = np.random.default_rng(n * 100 + d * 10 + m + 3)
+        for count in ROWS_COUNTS:
+            a, b = random_complex(rng, count, n, d), random_complex(rng, d, m)
+            got, want = linalg.rows(a, b), a @ b
+            assert got.shape == want.shape == (count, n, m)
+            bound = 1e-15 * linalg.fro(a) * linalg.fro(b)
+            assert np.all(linalg.fro(got - want) <= bound)
+
+    @pytest.mark.parametrize("n, d, m", MUL_SHAPES, ids=lambda v: str(v))
+    def test_each_matrix_of_a_stack_is_a_stack_of_one(self, n, d, m):
+        rng = np.random.default_rng(n * 100 + d * 10 + m + 4)
+        for count in ROWS_COUNTS:
+            picks = range(count) if count <= 13 else np.linspace(0, count - 1, 13).astype(int)
+            a, b = random_complex(rng, count, n, d), random_complex(rng, d, m)
+            got = linalg.rows(a, b)
+            for k in picks:
+                assert got[k].tobytes() == linalg.rows(a[k : k + 1], b)[0].tobytes()
+
+
 class TestSolveSylvester:
     def test_identity_coefficients(self):
         q = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)

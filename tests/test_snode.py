@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ def test_identity_residual_that_is_not_finite_fails():
         report = node.validate()
     assert np.isnan(report.identity_residuals[0])
     assert not report.passed
+
+
+def test_identity_whose_sides_overflow_apart_fails_without_a_warning():
+    # A R + R A* = 2e400 overflows against a right side of 1: the residual
+    # reads inf, and so does its scale, yet their ratio is 2.
+    node = snode.SMultinode([[[1e200]]], [[[1.0]]], [[1e200]], [[1.0]], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = node.validate()
+    assert report.identity_residuals == [np.inf]
+    assert not report.passed
+    assert report.messages == ["identity 0 relative residual 2.000e+00 exceeds 1e-10"]
+    # Both sides zero, with chat far above the double range when squared.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snode.SMultinode([[[0.0]]], [[[0.0]]], [[0.0]], [[1e200]], [1.0]).validate().passed
 
 
 def test_non_hermitian_nu_rejected():
