@@ -30,9 +30,11 @@ Points come stacked: an (N, nvars) array, last index the variable.
 ``PseudoExpFamily.at(points)`` opens the view of one stack; Pi, S, the row
 function W = Pi* S^-1, the quadratic form Q = Pi* S^-1 Pi and their
 derivatives all come from a view, stacked along a leading axis of length N,
-and share its C exp(M), its S and its solves. The view's (N,) mask
-``ok`` is False where S is numerically singular; what is derived from S^-1
-is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
+and share its C exp(M) and its S, eliminated once (``linalg.factor_pivoted``):
+each derivative of Y = S^-1 Pi is one substitution against that factor, of
+the right-hand side the product rule leaves. The view's (N,) mask ``ok`` is
+the factor's, False where S is numerically singular; what is derived from
+S^-1 is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
 ``loewner.spectrum_deviation`` and the families' public field functions,
 all made by ``FamilySpec.field_function``, also take one point (a flat
 sequence of nvars coordinates): they run on a stack of one and return that
@@ -43,6 +45,7 @@ takes stacks only.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,9 +70,9 @@ def pointwise(masked: bool) -> Callable:
     """Let a public function of stacked points also take a single point.
 
     The decorated function takes an (N, nvars) array as its second
-    positional argument (after the scenario or ``self``) and returns arrays
-    with a leading axis of length N (possibly in tuples or dicts), paired
-    with an (N,) mask when ``masked``. Given one point instead, it runs on a
+    positional argument (after the scenario or ``self``) and returns an
+    array with a leading axis of length N, or a tuple of them, paired with
+    an (N,) mask when ``masked``. Given one point instead, it runs on a
     stack of one and returns that point's entries, or None where the mask
     is False.
     """
@@ -87,19 +90,11 @@ def pointwise(masked: bool) -> Callable:
                 out, ok = out
                 if not ok[0]:
                     return None
-            return _first(out)
+            return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
 
         return wrapper
 
     return decorate
-
-
-def _first(value):
-    if isinstance(value, tuple):
-        return tuple(_first(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _first(v) for k, v in value.items()}
-    return value[0]
 
 
 class ExponentRecipe:
@@ -165,11 +160,9 @@ class ExponentRecipe:
         return out
 
     def factor(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """Constant G_v or G_v G_w with d^deriv exp(M) = factor @ exp(M)."""
-        if len(deriv) == 1:
-            return self.generators[deriv[0]]
-        v, w = deriv
-        return self.generators[v] @ self.generators[w]
+        """The constant product of G_v over a nonempty multi-index, in its
+        order, with d^deriv exp(M) = factor @ exp(M)."""
+        return functools.reduce(np.matmul, (self.generators[v] for v in deriv))
 
 
 def _taylor_terms(gens: np.ndarray) -> list:
@@ -202,6 +195,14 @@ def _canonical(deriv: Sequence[int]) -> tuple[int, ...]:
     if len(deriv) > MAX_DERIV_ORDER:
         raise ValueError(f"derivative order {len(deriv)} exceeds {MAX_DERIV_ORDER}")
     return tuple(sorted(deriv))
+
+
+def _splits(deriv: tuple[int, ...]):
+    """The product rule's splits (a, b) of a sorted multi-index, one per
+    subset of its entries (a repeated variable gives a split twice): d^deriv
+    (f g) is the sum of d^a f d^b g, in order from (deriv, ()) to ((), deriv)."""
+    for keep in itertools.product((True, False), repeat=len(deriv)):
+        yield tuple(v for v, k in zip(deriv, keep) if k), tuple(v for v, k in zip(deriv, keep) if not k)
 
 
 @dataclass(frozen=True)
@@ -243,15 +244,13 @@ class PiBlock:
 
     def term(self, ce: np.ndarray, deriv: tuple[int, ...] = ()) -> np.ndarray:
         """d^deriv of the block's S summand, given C exp(M) at stacked
-        points: the product rule acts on the constant K between them."""
-        k, adj = self.r, linalg.adjoint
-        if len(deriv) == 1:
-            g = self.recipe.generators[deriv[0]]
-            k = g @ k + k @ adj(g)
-        elif deriv:
-            gv, gw = (self.recipe.generators[i] for i in deriv)
-            k = gv @ gw @ k + gv @ k @ adj(gw) + gw @ k @ adj(gv) + k @ adj(gv @ gw)
-        return linalg.mul(linalg.rows(ce, k), adj(ce))
+        points: the product rule acts on the constant K between them, the
+        sum of G^a R (G^b)* over the splits (a, b) of deriv."""
+        adj, factor, ks = linalg.adjoint, self.recipe.factor, []
+        for a, b in _splits(deriv):
+            k = factor(a) @ self.r if a else self.r
+            ks.append(k @ adj(factor(b)) if b else k)
+        return linalg.mul(linalg.rows(ce, sum(ks[1:], ks[0])), adj(ce))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -260,9 +259,9 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 class _AtPoints:
     """The view of a family at one stack of points: C exp(M) once, and Pi,
-    S and Y = S^-1 Pi once per multi-index, given in any order. Every Y
-    solve eliminates the same S with the same pivots, so all give one mask;
-    ``ok`` is that of the Y solve, made when first read."""
+    S and Y = S^-1 Pi once per multi-index, given in any order. S is
+    factored once, when ``ok`` or a Y is first read, and every Y is a
+    substitution against that factor."""
 
     def __init__(self, family: "PseudoExpFamily", points: np.ndarray):
         self.family = family
@@ -270,11 +269,14 @@ class _AtPoints:
         self.ce = family.block.ce(points)
         self._pi, self._s, self._y = {}, {}, {}
 
+    @functools.cached_property
+    def _factor(self):
+        return linalg.factor_pivoted(self.s(()))
+
     @property
     def ok(self) -> np.ndarray:
         """(N,) mask, False where S is numerically singular."""
-        self.y(())
-        return self._ok
+        return self._factor[1]
 
     def pi(self, deriv: Sequence[int] = ()) -> np.ndarray:
         """d^deriv Pi, (N, n, width)."""
@@ -300,25 +302,15 @@ class _AtPoints:
         return self._s[deriv]
 
     def y(self, deriv: tuple[int, ...]) -> np.ndarray:
-        """d^deriv Y for a sorted multi-index, by one solve against S."""
-        mul = linalg.mul
+        """d^deriv Y for a sorted multi-index: the product rule on S Y = Pi
+        leaves S d^deriv Y = d^deriv Pi - sum of d^a S d^b Y over the
+        splits (a, b) with a nonempty, one substitution."""
         if deriv not in self._y:
-            if not deriv:
-                u = self.pi(())
-            elif len(deriv) == 1:
-                u = self.pi(deriv) - mul(self.s(deriv), self.y(()))
-            else:
-                v, w = deriv
-                u = (
-                    self.pi(deriv)
-                    - mul(self.s(deriv), self.y(()))
-                    - mul(self.s((v,)), self.y((w,)))
-                    - mul(self.s((w,)), self.y((v,)))
-                )
-            y, ok = linalg.solve_pivoted(self.s(()), u)
-            if not deriv:
-                self._ok = ok
-            self._y[deriv] = y
+            u = self.pi(deriv)
+            for a, b in _splits(deriv):
+                if a:
+                    u = u - linalg.mul(self.s(a), self.y(b))
+            self._y[deriv] = self._factor[0](u)
         return self._y[deriv]
 
     def w(self, deriv: Sequence[int] = ()) -> np.ndarray:

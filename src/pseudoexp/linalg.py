@@ -3,14 +3,16 @@
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
 complex128, or stacks of them along a leading axis (``adjoint``, ``fro``,
 ``mul``, ``rows`` and ``mat_exp`` act on the last two axes;
-``solve_pivoted`` takes stacks only). Desk scale only: matrix dimensions
-are small (a few dozen at most), so the solvers favour transparency over
-asymptotics. ``mul`` is the product of the engine's stacks of 2x2 to 4x4
-matrices, where numpy's stacked matmul pays one BLAS call per matrix;
-``rows`` is a stack times one constant matrix, one BLAS product over all
-the stack's rows. From either, each matrix of a stack comes out bitwise
-equal to a stack of that matrix alone. ``mat_exp`` is the general
-exponential, which the tests use as a reference.
+``factor_pivoted`` and ``solve_pivoted`` take stacks only). Desk scale
+only: matrix dimensions are small (a few dozen at most), so the solvers
+favour transparency over asymptotics. ``factor_pivoted`` eliminates a stack
+of systems once, for any number of right-hand sides. ``mul`` is the
+product of the engine's stacks of 2x2 to 4x4 matrices, where numpy's
+stacked matmul pays one BLAS call per matrix; ``rows`` is a stack times one
+constant matrix, one BLAS product over all the stack's rows. From either,
+each matrix of a stack comes out bitwise equal to a stack of that matrix
+alone. ``mat_exp`` is the general exponential, which the tests use as a
+reference.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "commutator_residual",
     "mat_exp",
     "solve_sylvester",
+    "factor_pivoted",
     "solve_pivoted",
     "numerical_rank",
     "full_range_rank",
@@ -261,24 +264,25 @@ def solve_sylvester(a, b, q) -> np.ndarray:
     )
 
 
-def solve_pivoted(s, rhs):
-    """Solve S X = RHS by Gaussian elimination with partial pivoting.
+def factor_pivoted(s):
+    """Gaussian elimination with partial pivoting of a stack of systems, S
+    of shape (N, n, n), once for any number of right-hand sides.
 
-    Takes a stack of systems, S of shape (N, n, n) and RHS (N, n, k), and
-    returns (X, ok). The elimination runs over the n columns, each step
-    acting on all N systems; ok[i] is False where system i met a pivot of
-    magnitude below ``PIVOT_RTOL * ||S_i||_F`` (the singular flag), and
-    X[i] is zero there. Callers mask such points rather than handle an
-    exception; one system is a stack of one.
+    Returns (solve, ok). Each of the n column steps acts on all N systems
+    and keeps its pivot rows and multipliers; ok[i] is False where system i
+    met a pivot below ``PIVOT_RTOL * ||S_i||_F`` (the singular flag), and
+    callers mask such points. ``solve(rhs)``, RHS (N, n, k), replays the
+    swaps and updates on RHS and back-substitutes: X with S X = RHS, zero
+    where ok is False. A system of a stack comes out bitwise equal to a
+    stack of it alone, and a column of X to that column alone where n <= 2
+    (numpy sends a back-substitution product of one column and of several
+    to different BLAS routines).
     """
     s = np.asarray(s, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError(f"S must be an (N, n, n) stack of square systems, got shape {s.shape}")
-    if rhs.ndim != 3 or rhs.shape[:2] != s.shape[:2]:
-        raise ValueError(f"RHS must have {s.shape[1]} rows per system, got shape {rhs.shape}")
-    if not (np.isfinite(s).all() and np.isfinite(rhs).all()):
-        raise ValueError("S and RHS must be finite")
+    if not np.isfinite(s).all():
+        raise ValueError("S must be finite")
 
     count, n = s.shape[:2]
     snorm = fro(s)
@@ -286,29 +290,47 @@ def solve_pivoted(s, rhs):
     ok = snorm > 0.0
     systems = np.arange(count)
     u = s.copy()
-    y = rhs.copy()
+    steps = []
     for col in range(n):
         piv = col + np.argmax(np.abs(u[:, col:, col]), axis=1)
         ok &= np.abs(u[systems, piv, col]) >= threshold
         swap = np.flatnonzero(piv != col)
         if len(swap):
-            for m in (u, y):
-                top = m[swap, col].copy()
-                m[swap, col] = m[swap, piv[swap]]
-                m[swap, piv[swap]] = top
+            u[swap, col], u[swap, piv[swap]] = u[swap, piv[swap]], u[swap, col]
         # Flagged systems divide by 1 instead of their tiny pivot.
         pivot = np.where(ok, u[:, col, col], 1.0)
-        factors = u[:, col + 1 :, col] / pivot[:, None]
-        u[:, col + 1 :, col:] -= factors[:, :, None] * u[:, None, col, col:]
-        y[:, col + 1 :] -= factors[:, :, None] * y[:, None, col]
-
+        factors = u[:, col + 1 :, col, None] / pivot[:, None, None]
+        u[:, col + 1 :, col:] -= factors * u[:, None, col, col:]
+        steps.append((swap, piv[swap], factors))
     diag = np.where(ok[:, None], np.diagonal(u, axis1=1, axis2=2), 1.0)
-    x = np.zeros_like(y)
-    for row in range(n - 1, -1, -1):
-        tail = np.matmul(u[:, row : row + 1, row + 1 :], x[:, row + 1 :])[:, 0]
-        x[:, row] = (y[:, row] - tail) / diag[:, row, None]
-    x[~ok] = 0.0
-    return x, ok
+    singular = ~ok
+
+    def solve(rhs):
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.ndim != 3 or rhs.shape[:2] != (count, n):
+            raise ValueError(f"RHS must be an ({count}, {n}, k) stack, got shape {rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("RHS must be finite")
+        y = rhs.copy()
+        for col, (swap, rows, factors) in enumerate(steps):
+            if len(swap):
+                y[swap, col], y[swap, rows] = y[swap, rows], y[swap, col]
+            y[:, col + 1 :] -= factors * y[:, None, col]
+        x = np.zeros_like(y)
+        for row in range(n - 1, -1, -1):
+            tail = np.matmul(u[:, row : row + 1, row + 1 :], x[:, row + 1 :])[:, 0]
+            x[:, row] = (y[:, row] - tail) / diag[:, row, None]
+        x[singular] = 0.0
+        return x
+
+    return solve, ok
+
+
+def solve_pivoted(s, rhs):
+    """Solve S X = RHS for stacks, (N, n, n) and (N, n, k): (X, ok) from one
+    ``factor_pivoted``."""
+    solve, ok = factor_pivoted(s)
+    return solve(rhs), ok
 
 
 def numerical_rank(m) -> int:

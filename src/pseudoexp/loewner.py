@@ -123,24 +123,20 @@ def build_loewner(
 
 def _sources(sc: LoewnerScenario, points: np.ndarray):
     """Psi to first order, L, Lambda_1 and Lambda_2 at stacked points, with
-    the mask of points where Lambda_1 is not singular."""
+    the mask of points where Lambda_1 is not singular. Lambda_1 is factored
+    once, and each of them is one substitution against it."""
     lam1, lam2 = sc.lambda1.value(points), sc.lambda2.value(points)
-    psi, ok = linalg.solve_pivoted(lam1(()), lam2(()))
+    solve, ok = linalg.factor_pivoted(lam1(()))
+    psi = solve(lam2(()))
 
     @functools.cache
-    def psi_xy():
-        # Psi_x and Psi_y from one elimination of their columns side by side.
-        rhs = [lam2((v,)) - lam1((v,)) @ psi for v in (X, Y)]
-        x, _ = linalg.solve_pivoted(lam1(()), np.concatenate(rhs, axis=-1))
-        return np.split(x, 2, axis=-1)
-
     def solution(deriv):
         if len(deriv) > 1:
             raise ValueError(f"no source for the derivative {deriv} of Psi")
-        return psi_xy()[deriv[0]] if deriv else psi
+        return solve(lam2(deriv) - lam1(deriv) @ psi) if deriv else psi
 
     def coefficient():
-        return linalg.solve_pivoted(lam1(()), sc.d_mat @ lam1(()))[0]
+        return solve(sc.d_mat @ lam1(()))
 
     return {"solution": solution, "coefficient": value_only(coefficient), "Lambda1": lam1, "Lambda2": lam2}, ok
 

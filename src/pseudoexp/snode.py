@@ -45,33 +45,36 @@ def solve_for_R(a, rhs) -> np.ndarray:
     return linalg.solve_sylvester(a, linalg.adjoint(a), rhs)
 
 
-def _relative_identity_residual(a, r, chat, nu, sign) -> float:
-    """||A R + R A* - sign chat nu chat*||_F over its scale 1 + ||A||_F ||R||_F
-    + ||chat nu chat*||_F, finite wherever the ratio is: A, R, chat and nu
-    are scaled by exact powers of two to norms in [1/2, 1) first, as in
-    ``linalg.commutator_residual``, then both sides to the exponent of the
-    larger one that is not zero."""
-    (a, ea), (r, er), (chat, ec), (nu, en) = (linalg._unit(m) for m in (a, r, chat, nu))
-    lhs, rhs = a @ r + r @ linalg.adjoint(a), sign * (chat @ nu @ linalg.adjoint(chat))
-    ar = linalg.fro(a) * linalg.fro(r)
-    sides = ((ea + er, ar), (2 * ec + en, linalg.fro(rhs)))
-    p = max((e for e, size in sides if size > 0), default=0)
-    # A side that is zero may sit above p; its weight stays at most 1.
-    wl, wr = (np.ldexp(1.0, min(e - p, 0)) for e, _ in sides)
-    scale = np.ldexp(1.0, min(-p, 1000)) + ar * wl + linalg.fro(rhs) * wr
-    return linalg.fro(lhs * wl - rhs * wr) / scale
+def _relative_identity_residuals(node: "SMultinode") -> list[float]:
+    """Per identity, ||A R + R A* - sign chat nu chat*||_F over its scale
+    1 + ||A||_F ||R||_F + ||chat nu chat*||_F, finite wherever the ratio is:
+    A, R, chat and nu are scaled by exact powers of two to norms in [1/2, 1)
+    first, as in ``linalg.commutator_residual``, so no norm overflows, then
+    both sides to the exponent of the larger one that is not zero."""
+    (r, er), (chat, ec) = linalg._unit(node.r_mat), linalg._unit(node.chat)
+    out = []
+    for a, nu, sign in zip(node.a_mats, node.nu_mats, node.signs):
+        (a, ea), (nu, en) = linalg._unit(a), linalg._unit(nu)
+        lhs, rhs = a @ r + r @ linalg.adjoint(a), sign * (chat @ nu @ linalg.adjoint(chat))
+        norm_a, norm_r, norm_rhs = np.linalg.norm([a, r, rhs], axis=(-2, -1))
+        sides = ((ea + er, norm_a * norm_r), (2 * ec + en, norm_rhs))
+        p = max((e for e, size in sides if size > 0), default=0)
+        # A side that is zero may sit above p; its weight stays at most 1.
+        wl, wr = (np.ldexp(1.0, min(e - p, 0)) for e, _ in sides)
+        scale = np.ldexp(1.0, min(-p, 1000)) + norm_a * norm_r * wl + norm_rhs * wr
+        out.append(float(np.linalg.norm(lhs * wl - rhs * wr) / scale))
+    return out
 
 
 @dataclass
 class ValidationReport:
-    """Residuals of the node identities and structural checks. The
-    commutator residuals are relative, to max(1, ||A_i||_F ||A_j||_F)
-    (``linalg.commutator_residual``); the identity residuals are absolute,
-    beside their scales, and may overflow where their ratio, which decides,
-    is taken on scaled copies. A ratio that is not finite fails."""
+    """Residuals of the node identities and structural checks, each the
+    relative one its verdict reads, from scaled copies and so finite
+    wherever the ratio is: commutators relative to max(1, ||A_i||_F
+    ||A_j||_F), identities to 1 + ||A||_F ||R||_F + ||chat nu chat*||_F. A
+    residual that is not finite fails."""
 
     identity_residuals: list[float]
-    identity_scales: list[float]
     commutator_residuals: list[float]
     r_hermiticity: float
     passed: bool
@@ -127,21 +130,8 @@ class SMultinode:
     def validate(self) -> ValidationReport:
         """Check every identity, pairwise commutation and Hermiticity."""
         messages: list[str] = []
-        id_res, id_scale = [], []
-        for k, a in enumerate(self.a_mats):
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = self.identity_rhs(k)
-                lhs = a @ self.r_mat + self.r_mat @ linalg.adjoint(a)
-                scale = 1.0 + linalg.fro(a) * linalg.fro(self.r_mat) + linalg.fro(rhs)
-                res = linalg.fro(lhs - rhs)
-            id_res.append(res)
-            id_scale.append(scale)
-            # Where the residual or its scale overflowed, their ratio comes
-            # from scaled copies.
-            if np.isfinite(res) and np.isfinite(scale):
-                rel = res / scale
-            else:
-                rel = _relative_identity_residual(a, self.r_mat, self.chat, self.nu_mats[k], self.signs[k])
+        id_res = _relative_identity_residuals(self)
+        for k, rel in enumerate(id_res):
             if not rel <= IDENTITY_RTOL:
                 messages.append(f"identity {k} relative residual {rel:.3e} exceeds {IDENTITY_RTOL:.0e}")
 
@@ -159,7 +149,6 @@ class SMultinode:
 
         return ValidationReport(
             identity_residuals=id_res,
-            identity_scales=id_scale,
             commutator_residuals=comm_res,
             r_hermiticity=r_herm,
             passed=not messages,

@@ -46,27 +46,35 @@ def test_factored_exponential_matches_exponential_of_the_sum(label, sc, module):
             assert linalg.fro(e - want) <= 1e-13 * linalg.fro(want), (label, p)
 
 
-def _counting_solves(monkeypatch):
-    solve, calls = linalg.solve_pivoted, []
+def _counting_factors(monkeypatch):
+    """Record each ``linalg.factor_pivoted`` call as (S, ok, [RHS of each
+    substitution against that factor])."""
+    factor, factors = linalg.factor_pivoted, []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def counting(s):
+        solve, ok = factor(s)
+        rhs = []
+        factors.append((s, ok, rhs))
+        return (lambda b: rhs.append(b) or solve(b)), ok
 
-    monkeypatch.setattr(linalg, "solve_pivoted", counting)
-    return calls
+    monkeypatch.setattr(linalg, "factor_pivoted", counting)
+    return factors
 
 
-# Solves per sweep: one per derivative of Y = S^-1 Pi the analytic
+# Factorizations per sweep: one of S (Lambda_1 for Loewner) on the grid and
+# one on the FD call's stack of shifted points.
+FACTORS_PER_SWEEP = 2
+# Substitutions per sweep: one per derivative of Y = S^-1 Pi the analytic
 # channels need, plus one for the one FD call per sweep, whose field call
 # (W and Q together for Schrodinger) needs Y alone. DS I's analytic
-# channels need Y_x and Y_y. Loewner solves Psi and L apart, shares one
-# solve for Psi_x and Psi_y, and makes one for the FD call, of Psi alone.
-SOLVES_PER_SWEEP = {"dirac": 4, "dsi": 4, "gnoe": 2, "loewner": 4, "schrodinger": 5}
-# Rows solved per sweep, in grid sizes: one per analytic solve, plus the
-# FD stack's copies of the grid, one per nonzero stencil offset of each
-# differenced variable (8 for x and y, 12 for x, t and y at accuracy 4).
-ROWS_PER_SWEEP = {"dirac": 11, "dsi": 15, "gnoe": 13, "loewner": 11, "schrodinger": 12}
+# channels need Y_x and Y_y. Loewner substitutes for Psi, L, Psi_x and
+# Psi_y, and once for the FD call, of Psi alone.
+SUBSTITUTIONS_PER_SWEEP = {"dirac": 4, "dsi": 4, "gnoe": 2, "loewner": 5, "schrodinger": 5}
+# Rows substituted per sweep, in grid sizes: one per analytic
+# substitution, plus the FD stack's copies of the grid, one per nonzero
+# stencil offset of each differenced variable (8 for x and y, 12 for x, t
+# and y at accuracy 4).
+ROWS_PER_SWEEP = {"dirac": 11, "dsi": 15, "gnoe": 13, "loewner": 12, "schrodinger": 12}
 # Views per sweep: one on the grid, one for the FD call. Loewner is not a
 # pseudo-exponential family.
 VIEWS_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 0, "schrodinger": 2}
@@ -78,7 +86,7 @@ EXP_VALUES_PER_SWEEP = {"dirac": 2, "dsi": 2, "gnoe": 2, "loewner": 4, "schrodin
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.SPEC.name)
 def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     sc = module.random_scenario(np.random.default_rng(5))
-    calls = _counting_solves(monkeypatch)
+    factors = _counting_factors(monkeypatch)
     views = []
     at = family.PseudoExpFamily.at
     monkeypatch.setattr(family.PseudoExpFamily, "at", lambda fam, p: views.append(p) or at(fam, p))
@@ -89,55 +97,63 @@ def test_solves_per_sweep_do_not_grow_with_the_grid(module, monkeypatch):
     )
     counts = []
     for count in (3, 5):
-        calls.clear()
+        factors.clear()
         views.clear()
         exps.clear()
         report = module.verify_scenario(sc, grid=module.default_grid(count=count))
         assert report.passed and report.masked_count == 0
         size = count ** len(module.VAR_NAMES)
-        assert all(len(s) % size == 0 for s, _ in calls)
-        counts.append((len(calls), len(views), sum(len(s) for s, _ in calls) // size, len(exps)))
+        assert all(len(s) % size == 0 for s, _, _ in factors)
+        rhs = [b for _, _, subs in factors for b in subs]
+        assert all(len(b) % size == 0 for b in rhs)
+        counts.append((len(factors), len(rhs), len(views), sum(map(len, rhs)) // size, len(exps)))
     name = module.SPEC.name
-    pins = (SOLVES_PER_SWEEP[name], VIEWS_PER_SWEEP[name], ROWS_PER_SWEEP[name], EXP_VALUES_PER_SWEEP[name])
+    pins = (
+        FACTORS_PER_SWEEP,
+        SUBSTITUTIONS_PER_SWEEP[name],
+        VIEWS_PER_SWEEP[name],
+        ROWS_PER_SWEEP[name],
+        EXP_VALUES_PER_SWEEP[name],
+    )
     assert counts == [pins] * 2
 
 
 def test_every_solve_of_a_view_gives_its_mask(monkeypatch):
     # On this 17x17 grid (spacing 1/16, exact in binary) 7 points lie on the
-    # singular line x + 2t = -3/4. Every Y solve eliminates the same S, so
-    # each one returns the mask the view reports.
+    # singular line x + 2t = -3/4. The view factors S once, and every Y is a
+    # substitution against that factor, so all share the mask it reports.
     sc, _ = schrodinger.build_singular_line_example()
     axes = (verify.Axis("x", -1.0, 0.0, 17), verify.Axis("t", -0.25, 0.75, 17))
     points = verify.Grid(axes).stacked()
-    masks = []
-    solve = linalg.solve_pivoted
-
-    def recording(*args):
-        x, ok = solve(*args)
-        masks.append(ok)
-        return x, ok
-
-    monkeypatch.setattr(linalg, "solve_pivoted", recording)
+    factors = _counting_factors(monkeypatch)
     view = sc.family.at(points)
     for deriv in [(), (1,), (0,), (0, 0), (0, 1)]:
         view.w(deriv)
     view.q((1, 0))
-    assert len(masks) == 5
+    [(s, ok, rhs)] = factors
+    assert s is view.s(()) and ok is view.ok
+    assert len(rhs) == 5
     assert (~view.ok).sum() == 7
     assert np.array_equal(view.ok, points[:, 0] + 2 * points[:, 1] != -0.75)
-    for ok in masks:
-        assert np.array_equal(ok, view.ok)
+    for deriv in [(), (1,), (0,), (0, 0), (0, 1)]:
+        assert not view.y(deriv)[~view.ok].any()
 
-    # A view asked only for Pi makes no solve, and neither do the premise
+    # Reading the mask factors S and substitutes for nothing.
+    factors.clear()
+    view = sc.family.at(points)
+    assert np.array_equal(view.ok, ok)
+    assert len(factors) == 1 and factors[0][2] == []
+
+    # A view asked only for Pi factors nothing, and neither do the premise
     # channels.
-    masks.clear()
+    factors.clear()
     view = sc.family.at(points)
     for deriv in [(), (0,), (1,), (0, 0), (1, 0)]:
         view.pi(deriv)
     for module in (dsi, gnoe):
         sc = module.random_scenario(np.random.default_rng(0))
         module._premises(sc, sc.family.at(module.default_grid().stacked()).pi)
-    assert masks == []
+    assert factors == []
 
 
 # Each family's public field functions, all from ``SPEC.field_function``,

@@ -306,6 +306,101 @@ class TestSolvePivoted:
             linalg.solve_pivoted(np.eye(2), np.ones((2, 1)))
 
 
+class TestFactorPivoted:
+    def test_agrees_with_numpy_on_well_conditioned_stacks(self):
+        rng = np.random.default_rng(78)
+        for n in range(1, 6):
+            s = random_complex(rng, 40, n, n, scale=0.3) + np.eye(n)
+            rhs = random_complex(rng, 40, n, 3)
+            solve, ok = linalg.factor_pivoted(s)
+            assert ok.all()
+            got, want = solve(rhs), np.linalg.solve(s, rhs)
+            assert np.all(linalg.fro(got - want) <= 1e-13 * linalg.fro(want))
+            # the factor is reused, and no RHS is written to
+            again = rhs.copy()
+            assert np.array_equal(solve(again), got) and np.array_equal(again, rhs)
+
+    def test_singular_and_row_swapping_systems(self):
+        s = np.array(
+            [
+                [[0.0, 0.0], [0.0, 0.0]],  # zero: no norm to compare with
+                [[1.0, 1.0], [1.0, 1.0]],  # exactly singular
+                [[1.0, 1.0], [1.0, 1.0 + 1e-13]],  # pivot below 1e-12 ||S||_F
+                [[0.0, 1.0], [1.0, 0.0]],  # zero leading pivot: rows swap
+                [[1e-3, 1.0], [1.0, 1.0]],  # small leading pivot: rows swap
+            ],
+            dtype=complex,
+        )
+        rhs = np.array([[[2.0, 1j], [3.0, -1.0]]] * len(s))
+        solve, ok = linalg.factor_pivoted(s)
+        assert ok.tolist() == [False, False, False, True, True]
+        x = solve(rhs)
+        assert not x[~ok].any()
+        np.testing.assert_allclose(x[3], [[3.0, -1.0], [2.0, 1j]])
+        np.testing.assert_allclose(s[4] @ x[4], rhs[4], rtol=0, atol=1e-14)
+        want, want_ok = linalg.solve_pivoted(s, rhs)
+        assert np.array_equal(ok, want_ok) and x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_columns_side_by_side_are_each_column_alone(self, n):
+        # Bitwise where each back-substitution tail has one entry at most,
+        # as for Loewner's 2 x 2 Lambda_1. From n = 3 on, numpy sends the
+        # tail of one column to BLAS dot and of several to gemv, whose last
+        # bits may differ.
+        rng = np.random.default_rng(79 + n)
+        for count in (1, 5, 64):
+            s = random_complex(rng, count, n, n)
+            rhs = random_complex(rng, count, n, 5)
+            solve, _ = linalg.factor_pivoted(s)
+            x = solve(rhs)
+            for j in range(rhs.shape[-1]):
+                assert x[..., j : j + 1].tobytes() == solve(rhs[..., j : j + 1]).tobytes()
+
+    def test_columns_side_by_side_agree_with_each_column_alone(self):
+        rng = np.random.default_rng(82)
+        for n in range(3, 7):
+            s = random_complex(rng, 20, n, n, scale=0.3) + np.eye(n)
+            rhs = random_complex(rng, 20, n, 5)
+            solve, _ = linalg.factor_pivoted(s)
+            x = solve(rhs)
+            for j in range(rhs.shape[-1]):
+                alone = solve(rhs[..., j : j + 1])
+                assert np.all(linalg.fro(x[..., j : j + 1] - alone) <= 1e-14 * linalg.fro(alone))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_each_system_of_a_stack_is_a_stack_of_one(self, n):
+        rng = np.random.default_rng(83 + n)
+        for count in (2, 7, 150):
+            s = random_complex(rng, count, n, n)
+            # a repeated row puts a singular system inside the stack
+            s[count // 2, n - 1] = s[count // 2, 0]
+            rhs = random_complex(rng, count, n, 3)
+            solve, ok = linalg.factor_pivoted(s)
+            assert n == 1 or not ok[count // 2]
+            x = solve(rhs)
+            for k in range(count):
+                one, one_ok = linalg.factor_pivoted(s[k : k + 1])
+                assert one_ok[0] == ok[k]
+                assert x[k].tobytes() == one(rhs[k : k + 1])[0].tobytes()
+
+    def test_rejects_bad_right_hand_sides(self):
+        solve, _ = linalg.factor_pivoted(np.eye(2)[None].repeat(3, axis=0))
+        for rhs in (np.ones((3, 3, 1)), np.ones((2, 2, 1)), np.ones((3, 2))):
+            with pytest.raises(ValueError, match="RHS must be"):
+                solve(rhs)
+        for bad in (np.nan, np.inf):
+            rhs = np.ones((3, 2, 2), dtype=complex)
+            rhs[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                solve(rhs)
+
+    def test_rejects_bad_systems(self):
+        with pytest.raises(ValueError, match=r"\(N, n, n\)"):
+            linalg.factor_pivoted(np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            linalg.factor_pivoted(np.full((1, 2, 2), np.inf))
+
+
 class TestRank:
     def test_full_range_jordan_good_column(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -169,25 +169,31 @@ class TestResiduals:
         assert channels["system_fd"][0] <= 1e-6 * (1.0 + scale[0])
 
     def test_fd_stencils_solve_only_for_psi(self, generic_scenario, monkeypatch):
-        solve, calls = linalg.solve_pivoted, []
+        factor, factors = linalg.factor_pivoted, []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counting(s):
+            solve, ok = factor(s)
+            rhs = []
+            factors.append((s, rhs))
+            return (lambda b: rhs.append(b) or solve(b)), ok
 
-        monkeypatch.setattr(linalg, "solve_pivoted", counting)
+        monkeypatch.setattr(linalg, "factor_pivoted", counting)
         pts = np.array([(0.21, -0.35), (0.1, 0.3), (-0.4, 0.05)])
         (channels, _), ok = evaluator(generic_scenario)(pts)
         assert ok.all()
-        # Psi, L, and Psi_x with Psi_y in one shared solve, each on the grid
-        assert all(len(s) == len(pts) for s, _ in calls[:3])
-        # plus one batched Psi solve for the FD call, on the four stencil
-        # offsets of accuracy 4 along both axes stacked together
-        assert len(calls) == 4
-        assert len(calls[3][0]) == 8 * len(pts)
+        # Lambda_1 factored once on the grid, with substitutions for Psi, L,
+        # Psi_x and Psi_y
+        assert len(factors) == 2
+        (s, rhs), (s_fd, rhs_fd) = factors
+        assert len(s) == len(pts) and len(rhs) == 4
+        assert all(len(b) == len(pts) for b in rhs)
+        # plus one factor of the FD call's stack, the four stencil offsets of
+        # accuracy 4 along both axes stacked together, and one substitution
+        # for Psi alone
+        assert len(s_fd) == 8 * len(pts)
         lam2 = generic_scenario.lambda2.value(pts)(())
-        assert calls[3][1].shape[-1] == lam2.shape[-1]
-        monkeypatch.setattr(linalg, "solve_pivoted", solve)
+        assert [b.shape[-1] for b in rhs_fd] == [lam2.shape[-1]]
+        monkeypatch.setattr(linalg, "factor_pivoted", factor)
 
         def psi(points):
             (psi, _), ok = eval_loewner(generic_scenario, points)

@@ -78,10 +78,12 @@ def test_validation_catches_perturbed_R():
     )
     report = bad.validate()
     assert not report.passed
-    # linear response: residual of identity k is ||A_k delta + delta A_k*||
+    # linear response: residual of identity k is ||A_k delta + delta A_k*||,
+    # reported relative to 1 + ||A_k||_F ||R||_F + ||chat nu_k chat*||_F
     a1 = node.a_mats[0]
     expected = linalg.fro(a1 @ delta + delta @ a1.conj().T)
-    assert report.identity_residuals[0] == pytest.approx(expected, rel=1e-9)
+    scale = 1.0 + linalg.fro(a1) * linalg.fro(bad.r_mat) + linalg.fro(node.identity_rhs(0))
+    assert report.identity_residuals[0] == pytest.approx(expected / scale, rel=1e-9)
     assert expected <= 2e-3 * linalg.fro(a1) + 1e-12
 
 
@@ -122,7 +124,9 @@ def test_commutator_check_survives_huge_matrices():
 
 
 def test_identity_residual_that_is_not_finite_fails():
-    # A R + R A* and chat nu chat* both overflow, so their difference is nan.
+    # A R + R A* = 2e400 and chat nu chat* = 1e400 both overflow, so their
+    # difference unscaled is nan; from scaled copies the relative residual
+    # is 1e400 / (1 + 1e400 + 1e400) = 1/2.
     node = snode.SMultinode(
         a_mats=[np.array([[1e200]])],
         nu_mats=[np.array([[1.0]])],
@@ -130,20 +134,28 @@ def test_identity_residual_that_is_not_finite_fails():
         chat=np.array([[1e200]]),
         signs=[1.0],
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = node.validate()
-    assert np.isnan(report.identity_residuals[0])
+    assert report.identity_residuals == [0.5]
     assert not report.passed
+    # The same with nu = 2: both sides read 2e400, and the identity holds.
+    node = snode.SMultinode([[[1e200]]], [[[2.0]]], [[1e200]], [[1e200]], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = node.validate()
+    assert report.identity_residuals == [0.0]
+    assert report.passed
 
 
 def test_identity_whose_sides_overflow_apart_fails_without_a_warning():
     # A R + R A* = 2e400 overflows against a right side of 1: the residual
-    # reads inf, and so does its scale, yet their ratio is 2.
+    # and its scale would both read inf unscaled, yet their ratio is 2.
     node = snode.SMultinode([[[1e200]]], [[[1.0]]], [[1e200]], [[1.0]], [1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = node.validate()
-    assert report.identity_residuals == [np.inf]
+    assert report.identity_residuals == [pytest.approx(2.0, rel=1e-15)]
     assert not report.passed
     assert report.messages == ["identity 0 relative residual 2.000e+00 exceeds 1e-10"]
     # Both sides zero, with chat far above the double range when squared.
