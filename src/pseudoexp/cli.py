@@ -10,14 +10,15 @@ Exit codes: 0 verification passed, 1 residual failure, 2 config or schema
 error, 3 construction error. Each family's builders and their parameters,
 output fields and default tolerances come from its declaration
 (``<family>.SPEC``). Complex scalars in configs are numbers or two-element
-[re, im] arrays; matrices are row-major nested arrays. Output files are
-deterministic: rerunning an identical config byte-matches.
+[re, im] arrays; matrices are row-major nested arrays. The dump holds one
+CSV line or JSON record per grid point, formatted by column from each
+field's stacked values. Output files are deterministic: rerunning an
+identical config byte-matches.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from importlib import resources
@@ -206,51 +207,43 @@ def _check_not_config(config_path: str, out_path: str) -> None:
 # -- output writers ----------------------------------------------------------
 
 
-def _dump_rows(spec, scenario, grid: verify.Grid, names: Sequence[str]) -> tuple[list, list]:
-    """(point, values of the named fields, or None where S is singular) at
-    every grid point, and each named field's matrix shape; the fields are
-    evaluated once, for all points in one call, so the shapes are known
-    also where every point is singular."""
-    values, ok = spec.field_values(scenario, grid.stacked(), names)
-    rows = [(point, [v[k] for v in values] if ok[k] else None) for k, point in enumerate(grid.points())]
-    return rows, [v.shape[1:] for v in values]
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """An (N, rows, cols) field as (N, rows, cols, 2) floats, (re, im) last."""
+    return np.stack([v.real, v.imag], -1)
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)
-    ]
-
-
-def _write_csv(path: Path, grid: verify.Grid, names: list, rows: list, shapes: list) -> None:
+def _write_csv(path: Path, grid: verify.Grid, names: list, values: tuple, ok: np.ndarray) -> None:
+    """One line per grid point: its coordinates, each field's (re, im)
+    columns, row-major, and the singular flag; the field cells of a singular
+    point are empty."""
     header = [ax.name for ax in grid.axes]
-    for name, (n_rows, n_cols) in zip(names, shapes):
-        for i in range(n_rows):
-            for j in range(n_cols):
-                header.extend((f"{name}[{i}][{j}].re", f"{name}[{i}][{j}].im"))
+    for name, v in zip(names, values):
+        _, n_rows, n_cols = v.shape
+        header.extend(
+            f"{name}[{i}][{j}].{part}" for i in range(n_rows) for j in range(n_cols) for part in ("re", "im")
+        )
     header.append("singular")
-    pad = sum(2 * n_rows * n_cols for n_rows, n_cols in shapes)
+    nvars, n = len(grid.axes), grid.size
+    table = np.concatenate([grid.stacked(), *(_pairs(v).reshape(n, -1) for v in values)], axis=1)
+    blank = "," * (len(header) - nvars) + "1"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for point, values in rows:
-            row = [repr(float(v)) for v in point]
-            if values is None:
-                writer.writerow(row + [""] * pad + ["1"])
-                continue
-            for value in values:
-                for z in np.atleast_2d(value).ravel():
-                    row.extend((repr(float(z.real)), repr(float(z.imag))))
-            writer.writerow(row + ["0"])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            (",".join(map(repr, row)) + ",0" if good else ",".join(map(repr, row[:nvars])) + blank) + "\n"
+            for row, good in zip(table.tolist(), ok.tolist())
+        )
 
 
-def _write_json(path: Path, grid: verify.Grid, names: list, rows: list) -> None:
-    records = []
-    for point, values in rows:
-        entry: dict = {"point": [float(v) for v in point], "singular": values is None}
-        if values is not None:
-            entry["values"] = {n: _encode_matrix(v) for n, v in zip(names, values)}
-        records.append(entry)
+def _write_json(path: Path, grid: verify.Grid, names: list, values: tuple, ok: np.ndarray) -> None:
+    """One record per grid point; each field of a non-singular point as
+    [row][col][re, im] lists."""
+    columns = [_pairs(v).tolist() for v in values]
+    records = [
+        {"point": point, "singular": False, "values": dict(zip(names, entries))}
+        if good
+        else {"point": point, "singular": True}
+        for point, good, *entries in zip(grid.stacked().tolist(), ok.tolist(), *columns)
+    ]
     payload = {"grid": grid.spec(), "fields": names, "points": records}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -281,7 +274,7 @@ def _cmd_run(path: str) -> int:
     # Looked up at call time, so a rebinding of the module attribute takes effect.
     try:
         report = module.verify_scenario(scenario, grid=grid, tolerances=tolerances, h=h, accuracy=accuracy)
-        rows, shapes = _dump_rows(spec, scenario, grid, fields)
+        values, ok = spec.field_values(scenario, grid.stacked(), fields)
     except MemoryError as exc:
         raise ConfigError(f"a grid of {grid.size} points does not fit in memory ({exc})") from exc
     dump_path = Path(out_path)
@@ -294,10 +287,8 @@ def _cmd_run(path: str) -> int:
         "verify": {"h": h, "accuracy": accuracy},
     }
     try:
-        if fmt == "csv":
-            _write_csv(dump_path, grid, fields, rows, shapes)
-        else:
-            _write_json(dump_path, grid, fields, rows)
+        write = _write_csv if fmt == "csv" else _write_json
+        write(dump_path, grid, fields, values, ok)
         report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output {exc.filename!r}: {exc.strerror or exc}") from exc

@@ -34,12 +34,11 @@ and share its C exp(M) and its S, eliminated once (``linalg.factor_pivoted``):
 each derivative of Y = S^-1 Pi is one substitution against that factor, of
 the right-hand side the product rule leaves. The view's (N,) mask ``ok`` is
 the factor's, False where S is numerically singular; what is derived from
-S^-1 is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``,
-``loewner.spectrum_deviation`` and the families' public field functions,
-all made by ``FamilySpec.field_function``, also take one point (a flat
-sequence of nvars coordinates): they run on a stack of one and return that
-point's value, or None where S is singular (``pointwise``). Everything else
-takes stacks only.
+S^-1 is zero there, and grid evaluators mask such points. ``PseudoExpFamily.s``
+and the families' public field functions, all made by
+``FamilySpec.field_function``, also take one point (a flat sequence of nvars
+coordinates): they run on a stack of one and return that point's value, or
+None where S is singular (``pointwise``). Everything else takes stacks only.
 """
 
 from __future__ import annotations

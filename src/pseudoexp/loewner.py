@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConstructionError
-from .family import ExponentRecipe, PiBlock, pointwise
+from .family import ExponentRecipe, PiBlock
 from .spec import RANDOM, Builder, FamilySpec, parse_bool, parse_matrix, parse_real_vector, value_only
 
 __all__ = [
@@ -141,10 +141,10 @@ def _sources(sc: LoewnerScenario, points: np.ndarray):
     return {"solution": solution, "coefficient": value_only(coefficient), "Lambda1": lam1, "Lambda2": lam2}, ok
 
 
-@pointwise(masked=True)
 def spectrum_deviation(sc: LoewnerScenario, points: np.ndarray):
-    """Max distance between the spectrum of L and the diagonal of D, at
-    stacked points, with the mask."""
+    """Max distance between the spectrum of L and the diagonal of D at an
+    (N, 2) stack of points, and the mask of points where Lambda_1 is not
+    singular."""
     (_, ell), ok = eval_loewner(sc, points)
     # np.sort orders complex values by real part, then imaginary part.
     got = np.sort(np.linalg.eigvals(ell), axis=-1)

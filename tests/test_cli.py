@@ -33,6 +33,43 @@ def write_config(tmp_path, overrides=None, **top):
     return path
 
 
+def reference_dump(path, grid, names, values, ok, fmt):
+    """The dump written row by row, one complex entry at a time: the oracle
+    the CLI's column writers must match byte for byte."""
+    rows = [(point, [v[k] for v in values] if ok[k] else None) for k, point in enumerate(grid.points())]
+    if fmt == "json":
+        records = []
+        for point, entries in rows:
+            record = {"point": [float(c) for c in point], "singular": entries is None}
+            if entries is not None:
+                record["values"] = {
+                    name: [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
+                    for name, m in zip(names, entries)
+                }
+            records.append(record)
+        payload = {"grid": grid.spec(), "fields": names, "points": records}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    header = [ax.name for ax in grid.axes]
+    for name, v in zip(names, values):
+        for i in range(v.shape[1]):
+            for j in range(v.shape[2]):
+                header.extend((f"{name}[{i}][{j}].re", f"{name}[{i}][{j}].im"))
+    header.append("singular")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for point, entries in rows:
+            row = [repr(float(c)) for c in point]
+            if entries is None:
+                writer.writerow(row + [""] * (len(header) - len(row) - 1) + ["1"])
+                continue
+            for m in entries:
+                for z in np.atleast_2d(m).ravel():
+                    row.extend((repr(float(z.real)), repr(float(z.imag))))
+            writer.writerow(row + ["0"])
+
+
 class TestCatalog:
     def test_has_six_entries(self):
         names = [name for name, _, _ in cli.catalog()]
@@ -477,6 +514,20 @@ class TestDump:
         keep = [full[0].index(c) for c in part[0]]
         assert [[row[i] for i in keep] for row in full] == part
         assert any(row[-1] == "1" for row in part[1:])
+
+    @pytest.mark.parametrize("name", [n for n, _, _ in cli.catalog()])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dump_matches_the_row_by_row_reference(self, tmp_path, monkeypatch, name, fmt):
+        # Each built-in config, in its own format and in the other one.
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(Path(next(p for n, _, p in cli.catalog() if n == name)).read_text())
+        config["output"].update(format=fmt, path=f"dump.{fmt}")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main(["run", "config.json"]) == 0
+        _, module, scenario, grid, _, (fields, _, _) = cli._prepare("config.json")
+        values, ok = module.SPEC.field_values(scenario, grid.stacked(), fields)
+        reference_dump(tmp_path / "reference", grid, fields, values, ok, fmt)
+        assert (tmp_path / f"dump.{fmt}").read_bytes() == (tmp_path / "reference").read_bytes()
 
     def test_fields_evaluated_once_per_point_outside_the_sweep(self, tmp_path, monkeypatch):
         # The CLI reaches the builder and verify_scenario through module

@@ -105,13 +105,10 @@ class TestEval:
         assert linalg.fro(psi - want) <= 1e-10 * (1.0 + linalg.fro(want))
 
     def test_spectrum_matches_d(self, generic_scenario):
-        rng = np.random.default_rng(50)
-        for _ in range(10):
-            pt = tuple(rng.uniform(-0.8, 0.8, 2))
-            dev = spectrum_deviation(generic_scenario, pt)
-            if dev is None:
-                continue
-            assert dev <= 1e-8
+        points = np.random.default_rng(50).uniform(-0.8, 0.8, (10, 2))
+        dev, ok = spectrum_deviation(generic_scenario, points)
+        assert dev.shape == ok.shape == (10,) and ok.any()
+        assert np.all(dev[ok] <= 1e-8)
 
     def test_singular_lambda1_masked(self):
         # m=1, width 2, nilpotent A: Lambda_1 = -1/2 + x + y vanishes on a line
