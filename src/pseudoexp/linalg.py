@@ -2,17 +2,16 @@
 
 Everything downstream works with plain ``numpy.ndarray`` matrices of dtype
 complex128, or stacks of them along a leading axis (``adjoint``, ``fro``,
-``mul``, ``rows`` and ``mat_exp`` act on the last two axes;
-``factor_pivoted`` and ``solve_pivoted`` take stacks only). Desk scale
-only: matrix dimensions are small (a few dozen at most), so the solvers
-favour transparency over asymptotics. ``factor_pivoted`` eliminates a stack
-of systems once, for any number of right-hand sides. ``mul`` is the
-product of the engine's stacks of 2x2 to 4x4 matrices, where numpy's
-stacked matmul pays one BLAS call per matrix; ``rows`` is a stack times one
-constant matrix, one BLAS product over all the stack's rows. From either,
-each matrix of a stack comes out bitwise equal to a stack of that matrix
-alone. ``mat_exp`` is the general exponential, which the tests use as a
-reference.
+``mul`` and ``rows`` act on the last two axes; ``factor_pivoted`` and
+``solve_pivoted`` take stacks only). Desk scale only: matrix dimensions are
+small (a few dozen at most), so the solvers favour transparency over
+asymptotics. ``factor_pivoted`` eliminates a stack of systems once, for any
+number of right-hand sides. ``mul`` is the product of the engine's stacks
+of 2x2 to 4x4 matrices, where numpy's stacked matmul pays one BLAS call per
+matrix; ``rows`` is a stack times one constant matrix, one BLAS product
+over all the stack's rows. From either, each matrix of a stack comes out
+bitwise equal to a stack of that matrix alone. ``mat_exp``, the
+exponential of one matrix, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -62,13 +61,17 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def fro(m: np.ndarray):
     """Frobenius norm over the last two axes: a float for one matrix, an
     array of norms for a stack. A norm reads inf only past the double range
-    or on entries that are not finite: squares of entries may overflow."""
-    with np.errstate(over="ignore"):
-        norms = np.asarray(np.linalg.norm(m, axis=(-2, -1)))
-        if np.isinf(norms).any():
-            huge = np.isinf(norms) & np.isfinite(m).all(axis=(-2, -1))
-            big = np.abs(m[huge]).max(axis=(-2, -1))
-            norms[huge] = big * np.linalg.norm(m[huge] / big[:, None, None], axis=(-2, -1))
+    or on entries that are not finite. Below 2^500 no square of an entry
+    can overflow, so only larger or non-finite entries take the guard."""
+    if np.abs(m).max(initial=0.0) < 2.0**500:
+        norms = np.linalg.norm(m, axis=(-2, -1))
+    else:
+        with np.errstate(over="ignore"):
+            norms = np.asarray(np.linalg.norm(m, axis=(-2, -1)))
+            if np.isinf(norms).any():
+                huge = np.isinf(norms) & np.isfinite(m).all(axis=(-2, -1))
+                big = np.abs(m[huge]).max(axis=(-2, -1))
+                norms[huge] = big * np.linalg.norm(m[huge] / big[:, None, None], axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -128,71 +131,43 @@ def _unit(m: np.ndarray) -> tuple[np.ndarray, int]:
     """m / 2^e, exactly, with 2^e the power of two such that its norm is in
     [1/2, 1), and e."""
     e = int(np.frexp(fro(m))[1])
-    return np.ldexp(np.ascontiguousarray(m).view(float), -e).view(complex), e
-
-
-def _taylor_exp(m: np.ndarray, terms: int) -> np.ndarray:
-    # Horner form of sum_{k<=terms} m^k / k!, for one matrix or a stack
-    eye = np.eye(m.shape[-1], dtype=complex)
-    acc = eye
-    for k in range(terms, 0, -1):
-        acc = eye + (m @ acc) / k
-    return acc
+    return np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), -e).view(complex), e
 
 
 def mat_exp(m) -> np.ndarray:
-    """Matrix exponential exp(m) of a square matrix, or of each matrix of a
-    stack (..., n, n) in one vectorised pass; the result has m's shape.
-
-    A matrix with m**k == 0 exactly for some k <= n takes the exact finite
-    Taylor sum to its own k.  Every other matrix takes scaling-and-squaring
-    with a degree-16 Taylor polynomial at ||m/2^s||_1 <= 1/2, with its own
-    squaring count s; the truncation error is below double roundoff at that
-    radius.  Each matrix of a stack comes out bitwise equal to its own call.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"mat_exp needs a square matrix or a stack of them, got shape {m.shape}")
+    """exp(m) of one square matrix. A matrix with m**k == 0 exactly for some
+    k <= n takes the exact finite Taylor sum to that k. Any other takes
+    scaling and squaring (Moler and Van Loan, SIAM Review 45(1), 2003): the
+    degree-16 Taylor polynomial, by Horner, at ||m/2^s||_1 <= 1/2, where its
+    truncation error is below double roundoff, then s squarings."""
+    m = np.asarray(m, dtype=complex, order="C")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"mat_exp needs one square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("mat_exp argument contains non-finite entries")
-    if m.size == 0:
-        return np.zeros(m.shape, dtype=complex)
-    n = m.shape[-1]
-    ms = m.reshape(-1, n, n)
-    out = np.empty_like(ms)
+    n = len(m)
     eye = np.eye(n, dtype=complex)
+    # The empty matrix counts as nilpotent of index 1.
+    power = m
+    for k in range(1, max(n, 1) + 1):
+        if not power.any():
+            e, p, factorial = eye, eye, 1.0
+            for j in range(1, k):
+                p = p @ m
+                factorial *= j
+                e = e + p / factorial
+            return e
+        power = power @ m
 
-    # Nilpotency index per matrix: the smallest k <= n with m^k exactly
-    # zero, else 0.
-    index, p = np.zeros(len(ms), dtype=int), ms
-    for k in range(1, n + 1):
-        index[(index == 0) & ~p.any(axis=(-2, -1))] = k
-        p = p @ ms
-
-    nil = np.flatnonzero(index)
-    a, k = ms[nil], index[nil]
-    e, p, factorial = np.broadcast_to(eye, a.shape), eye, 1.0
-    # Terms past a matrix's own index are exact zeros, and the sum starts
-    # from I, so it holds no -0.0 that adding them could flip: no bit moves.
-    for j in range(1, k.max(initial=0)):
-        p = p @ a
-        factorial *= j
-        e = e + p / factorial
-    out[nil] = e
-
-    rest = np.flatnonzero(index == 0)
-    a = ms[rest]
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.maximum(0, np.ceil(np.log2(norm / 0.5))).astype(int)
-    e = _taylor_exp(a / (2.0**squarings)[:, None, None], 16)
-    # Step j squares only the matrices with more than j squarings. An
-    # overflow is left for the caller to report, without a warning.
+    squarings = max(0, int(np.ceil(np.log2(np.abs(m).sum(axis=0).max() / 0.5))))
+    a, e = m / 2.0**squarings, eye
+    for k in range(16, 0, -1):
+        e = eye + (a @ e) / k
+    # An overflow is left for the caller to report, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(squarings.max(initial=0)):
-            sq = np.flatnonzero(squarings > j)
-            e[sq] = e[sq] @ e[sq]
-    out[rest] = e
-    return out.reshape(m.shape)
+        for _ in range(squarings):
+            e = e @ e
+    return e
 
 
 def solve_sylvester(a, b, q) -> np.ndarray:

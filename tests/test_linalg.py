@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,10 @@ class TestMatExp:
         for _ in range(20):
             m = np.triu(random_complex(rng, 4, 4), k=1)
             via_fast = linalg.mat_exp(m)
-            via_scaling = linalg._taylor_exp(m / 4.0, 16)
+            # the degree-16 Taylor polynomial at m / 4, by Horner, squared twice
+            via_scaling = np.eye(4)
+            for k in range(16, 0, -1):
+                via_scaling = np.eye(4) + (m / 4.0) @ via_scaling / k
             via_scaling = via_scaling @ via_scaling
             via_scaling = via_scaling @ via_scaling
             scale = linalg.fro(via_fast)
@@ -75,52 +80,36 @@ class TestMatExp:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             linalg.mat_exp(np.array([[np.inf, 0], [0, 0]]))
-        stack = np.zeros((3, 2, 2), dtype=complex)
-        stack[2, 1, 0] = np.nan
+        m = np.zeros((2, 2), dtype=complex)
+        m[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            linalg.mat_exp(stack)
+            linalg.mat_exp(m)
 
-    def test_stack_is_bitwise_equal_to_each_matrix(self):
-        rng = np.random.default_rng(31)
-        dense = random_complex(rng, 2, 2)
-        dense = dense / np.linalg.norm(dense, 1)
-        singular_line = np.array([[1j, 2.0], [0.0, 1j]])
-        dsi_nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        values = np.array([0.0, -0.7, 1.3])
-        stack = np.concatenate(
-            [
-                # ||m||_1 from 1/4 to 64: squaring counts 0 to 7
-                np.array([2.0**k * dense for k in range(-2, 7)]),
-                np.zeros((1, 2, 2)),
-                np.triu(random_complex(rng, 1, 2, 2), k=1),
-                np.array([[[1.0, -1.0], [1.0, -1.0]]]),
-                values[:, None, None] * singular_line,
-                values[:, None, None] * dsi_nilpotent,
-                values[:, None, None] * -dsi_nilpotent,
-            ]
-        )
-        got = linalg.mat_exp(stack)
-        assert got.shape == stack.shape
-        for m, e in zip(stack, got):
-            assert e.tobytes() == linalg.mat_exp(m).tobytes()
-        assert np.array_equal(got[-5], np.eye(2) - 0.7 * dsi_nilpotent)
-
-    def test_stack_of_nilpotents_sums_each_to_its_own_index(self):
+    def test_nilpotents_sum_each_to_its_own_index(self):
         rng = np.random.default_rng(37)
-        # strictly upper triangular 4x4, 3x3 in a corner, with only the
-        # superdiagonals from the second on, and zero: indices 4, 3, 2 and 1
-        stack = np.array([np.triu(random_complex(rng, 4, 4), k=k) for k in (1, 1, 2, 4)])
-        stack[1, :, 3] = 0.0
-        got = linalg.mat_exp(stack.reshape(2, 2, 4, 4))
-        assert got.shape == (2, 2, 4, 4)
-        for m, e in zip(stack, got.reshape(-1, 4, 4)):
-            assert e.tobytes() == linalg.mat_exp(m).tobytes()
-        assert np.array_equal(got[1, 1], np.eye(4))
+        # strictly upper triangular 4x4 from the k-th superdiagonal on, for
+        # k = 1, 2 and 4 (zero): indices 4, 2 and 1; a 3x3 in a corner: 3
+        corner = np.triu(random_complex(rng, 4, 4), k=1)
+        corner[:, 3] = 0.0
+        for m in [np.triu(random_complex(rng, 4, 4), k=k) for k in (1, 2, 4)] + [corner]:
+            expected, power, factorial = np.eye(4), np.eye(4), 1.0
+            for j in range(1, 4):
+                power = power @ m
+                factorial *= j
+                expected = expected + power / factorial
+            assert np.array_equal(linalg.mat_exp(m), expected)
+
+    def test_dsi_nilpotent_generator(self):
+        # DS I's nilpotent generator at x = -0.7: exactly I - 0.7 N
+        n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        assert np.array_equal(linalg.mat_exp(-0.7 * n), np.eye(2) - 0.7 * n)
 
     def test_empty_inputs(self):
-        for shape in ((0, 0), (0, 3, 3), (4, 0, 0)):
-            got = linalg.mat_exp(np.zeros(shape))
-            assert got.shape == shape and got.dtype == complex
+        got = linalg.mat_exp(np.zeros((0, 0)))
+        assert got.shape == (0, 0) and got.dtype == complex
+        for shape in ((0, 3, 3), (4, 0, 0)):
+            with pytest.raises(ValueError, match="square"):
+                linalg.mat_exp(np.zeros(shape))
 
 
 # Every (n, d, m) with each side from 1 to 4, plus a 6 x 6 x 6 product, and
@@ -452,3 +441,40 @@ class TestHelpers:
         np.testing.assert_allclose(got[[1, 4]], [want, 2 * want], rtol=1e-15)
         # past the double range the norm reads inf, still without a warning
         assert linalg.fro(np.full((2, 2), 1e308)) == np.inf
+
+    def test_fro_is_the_guarded_formula_bitwise(self):
+        def guarded(m):
+            # the norm with every call under the overflow guard
+            with np.errstate(over="ignore"):
+                norms = np.asarray(np.linalg.norm(m, axis=(-2, -1)))
+                if np.isinf(norms).any():
+                    huge = np.isinf(norms) & np.isfinite(m).all(axis=(-2, -1))
+                    big = np.abs(m[huge]).max(axis=(-2, -1))
+                    norms[huge] = big * np.linalg.norm(m[huge] / big[:, None, None], axis=(-2, -1))
+            return float(norms) if norms.ndim == 0 else norms
+
+        rng = np.random.default_rng(3)
+        stack = random_complex(rng, 4, 3, 3)
+        stack[1] *= 1e200
+        stack[2] *= 2.0**499
+        stack[3, 0, 0] = 2.0**500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.fro(stack).tobytes() == guarded(stack).tobytes()
+            for m in stack:
+                got = linalg.fro(m)
+                assert type(got) is float and got == guarded(m)
+
+    def test_commutator_residual_of_real_and_complex_copies(self):
+        rng = np.random.default_rng(4)
+        pairs = [
+            (np.eye(2), np.eye(2)),
+            (np.array([[2.0]]), np.array([[-3.0]])),
+            (rng.standard_normal((3, 3)), rng.standard_normal((3, 3))),
+            (1e200 * rng.standard_normal((2, 2)), 1e200 * rng.standard_normal((2, 2))),
+        ]
+        for a, b in pairs:
+            want = linalg.commutator_residual(a.astype(complex), b.astype(complex))
+            assert linalg.commutator_residual(a, b) == want
+        assert linalg.commutator_residual(*pairs[0]) == 0.0
+        assert linalg.commutator_residual(*pairs[2]) > 0.0
